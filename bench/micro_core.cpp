@@ -2,10 +2,14 @@
 // engineering companion to the reproduction benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/bgp/route_cache.h"
 #include "bgpcmp/core/scenario.h"
+#include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/congestion.h"
 #include "bgpcmp/latency/path_model.h"
@@ -101,22 +105,31 @@ void BM_RouteCacheWarm(benchmark::State& state) {
 BENCHMARK(BM_RouteCacheWarm)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // fig1's actual hot loop: the CI of (BGP - best alternate) medians, called
-// once per <pair, window>.
+// once per <pair, window> with the study's own bootstrap options. The Arg is
+// the per-route session count: the clamp bounds (3, 40) and the measured mean
+// (~19). measure_pop_pair sorts each route's samples before the call, so the
+// inputs here are sorted too.
 void BM_BootstrapMedianDiffCi(benchmark::State& state) {
   Rng rng{1234};
   std::vector<double> a;
   std::vector<double> b;
-  for (int i = 0; i < 20; ++i) {
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
     a.push_back(rng.normal(50, 10));
     b.push_back(rng.normal(48, 10));
   }
-  stats::BootstrapOptions opts;
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const stats::BootstrapOptions opts = core::PopStudyConfig{}.bootstrap;
   for (auto _ : state) {
     const auto ci = stats::bootstrap_median_diff_ci(a, b, rng, opts);
     benchmark::DoNotOptimize(ci.point);
   }
 }
-BENCHMARK(BM_BootstrapMedianDiffCi)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BootstrapMedianDiffCi)
+    ->Arg(3)
+    ->Arg(19)
+    ->Arg(40)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CandidateRoutes(benchmark::State& state) {
   const auto& sc = shared_scenario();

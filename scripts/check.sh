@@ -60,6 +60,12 @@ build/tools/determinism_audit --compare-threads 8
 # "Sharding").
 build/tools/determinism_audit --shards 2
 
+# Pipeline bench smoke: every bench/pipeline workload at reduced size, with
+# its outputs checked against the smoke digests in bench/pipeline/pins.json,
+# so a change that moves a pinned model output fails here (~5 s after the
+# build).
+python3 bench/pipeline/run.py --smoke
+
 # Scale smoke: the 4x-AS-count world (two builds + fingerprints) must stay in
 # interactive time. The indexed generator does this in well under a second;
 # reintroducing a linear scan into the build loops (the old quadratic regime

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bgpcmp/cdn/edge_fabric.h"
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/stats/quantile.h"
 #include "bgpcmp/traffic/demand.h"
 #include "bgpcmp/traffic/sessions.h"
@@ -58,6 +59,8 @@ PopPrefixSeries measure_pop_pair(const PairPlan& plan,
                                  const lat::LatencyModel& latency,
                                  const lat::RttSampler& sampler, const Rng& root,
                                  const PopStudyConfig& config) {
+  BGPCMP_CHECK_GE(plan.routes.size(), 2U,
+                  "measure_pop_pair needs a BGP route and at least one alternate");
   Rng rng = root.fork("pair-" + std::to_string(plan.prefix) + "-" +
                       std::to_string(plan.pop));
   PopPrefixSeries series;

@@ -1,11 +1,178 @@
 #include "bgpcmp/stats/bootstrap.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <random>  // lint:allow(D4): the reference draws like the kernel
+#include <string>
+#include <vector>
+
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/stats/quantile.h"
 
 namespace bgpcmp::stats {
 namespace {
+
+// The selection-based resampler the counting-rank kernel replaced, kept as
+// the differential reference: copy n draws, nth_element to the lower middle,
+// and take the tail minimum as the upper middle for even n.
+namespace reference {
+
+double median_inplace(std::vector<double>& v) {
+  if (v.size() == 1) return v[0];
+  const std::size_t lo = (v.size() - 1) / 2;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), mid, v.end());
+  if (v.size() % 2 != 0) return *mid;
+  const double upper = *std::min_element(mid + 1, v.end());
+  return *mid + 0.5 * (upper - *mid);
+}
+
+double resample_median(std::span<const double> values, Rng& rng) {
+  std::vector<double> scratch(values.size());
+  std::uniform_int_distribution<std::int64_t> pick{
+      0, static_cast<std::int64_t>(values.size()) - 1};
+  for (double& slot : scratch) {
+    slot = values[static_cast<std::size_t>(pick(rng.engine()))];
+  }
+  return median_inplace(scratch);
+}
+
+ConfidenceInterval interval_from(std::vector<double>& stats, double point,
+                                 double confidence) {
+  std::sort(stats.begin(), stats.end());
+  const double alpha = (1.0 - confidence) / 2.0;
+  return ConfidenceInterval{quantile_sorted(stats, alpha), point,
+                            quantile_sorted(stats, 1.0 - alpha)};
+}
+
+ConfidenceInterval median_ci(std::span<const double> values, Rng& rng,
+                             const BootstrapOptions& opts) {
+  std::vector<double> medians;
+  for (int i = 0; i < opts.resamples; ++i) {
+    medians.push_back(resample_median(values, rng));
+  }
+  return interval_from(medians, median(values), opts.confidence);
+}
+
+ConfidenceInterval median_diff_ci(std::span<const double> a, std::span<const double> b,
+                                  Rng& rng, const BootstrapOptions& opts) {
+  std::vector<double> diffs;
+  for (int i = 0; i < opts.resamples; ++i) {
+    const double ma = resample_median(a, rng);
+    const double mb = resample_median(b, rng);
+    diffs.push_back(ma - mb);
+  }
+  return interval_from(diffs, median(a) - median(b), opts.confidence);
+}
+
+}  // namespace reference
+
+bool same_bits(double x, double y) { return std::memcmp(&x, &y, sizeof(double)) == 0; }
+
+void expect_bit_identical(const ConfidenceInterval& got, const ConfidenceInterval& want,
+                          const std::string& label) {
+  EXPECT_TRUE(same_bits(got.lower, want.lower)) << label << " lower";
+  EXPECT_TRUE(same_bits(got.point, want.point)) << label << " point";
+  EXPECT_TRUE(same_bits(got.upper, want.upper)) << label << " upper";
+}
+
+enum class Values { Spread, ThreeValued, AllEqual };
+enum class Order { Sorted, Reversed, Shuffled };
+
+std::vector<double> generate(std::size_t n, Values values, Order order, Rng& gen) {
+  constexpr double kTies[] = {1.5, 2.0, 7.25};
+  std::vector<double> v(n);
+  for (double& x : v) {
+    switch (values) {
+      case Values::Spread: x = gen.normal(40.0, 12.0); break;
+      case Values::ThreeValued: x = kTies[gen.index(3)]; break;
+      case Values::AllEqual: x = 3.0; break;
+    }
+  }
+  switch (order) {
+    case Order::Sorted: std::sort(v.begin(), v.end()); break;
+    case Order::Reversed: std::sort(v.begin(), v.end(), std::greater<>{}); break;
+    case Order::Shuffled: gen.shuffle(v); break;
+  }
+  return v;
+}
+
+// The counting-rank kernel against the selection reference on generated
+// inputs: every size from 1 to 64, spread, tie-heavy and constant values, in
+// sorted, reversed and shuffled order, with a and b of unequal sizes. Bounds
+// and point must match bit for bit, and both must leave the engine in the
+// same state (same number and order of draws).
+TEST(BootstrapDifferential, CountingRanksMatchSelection) {
+  Rng gen{2024};
+  for (const int resamples : {1, 60, 200}) {
+    const BootstrapOptions opts{resamples, 0.95};
+    for (std::size_t n = 1; n <= 64; ++n) {
+      for (const Values values :
+           {Values::Spread, Values::ThreeValued, Values::AllEqual}) {
+        for (const Order order : {Order::Sorted, Order::Reversed, Order::Shuffled}) {
+          const auto a = generate(n, values, order, gen);
+          const auto b = generate((n * 7) % 64 + 1, values, order, gen);
+          const std::string label =
+              "n=" + std::to_string(n) + " values=" +
+              std::to_string(static_cast<int>(values)) + " order=" +
+              std::to_string(static_cast<int>(order)) +
+              " resamples=" + std::to_string(resamples);
+          const std::uint64_t seed = n * 1000 + static_cast<std::uint64_t>(resamples);
+
+          Rng got_rng{seed};
+          Rng want_rng{seed};
+          expect_bit_identical(bootstrap_median_ci(a, got_rng, opts),
+                               reference::median_ci(a, want_rng, opts), label);
+          EXPECT_TRUE(got_rng.engine() == want_rng.engine()) << label;
+
+          expect_bit_identical(bootstrap_median_diff_ci(a, b, got_rng, opts),
+                               reference::median_diff_ci(a, b, want_rng, opts),
+                               label + " diff");
+          EXPECT_TRUE(got_rng.engine() == want_rng.engine()) << label << " diff";
+        }
+      }
+    }
+  }
+}
+
+TEST(Bootstrap, RejectsNonFiniteSamples) {
+  ScopedCheckThrows guard;
+  Rng rng{15};
+  const std::vector<double> nan_in{1.0, std::numeric_limits<double>::quiet_NaN(), 3.0};
+  const std::vector<double> inf_in{1.0, 2.0, std::numeric_limits<double>::infinity()};
+  const std::vector<double> fine{1.0, 2.0, 3.0};
+  EXPECT_THROW((void)bootstrap_median_ci(nan_in, rng), CheckError);
+  EXPECT_THROW((void)bootstrap_median_ci(inf_in, rng), CheckError);
+  EXPECT_THROW((void)bootstrap_median_diff_ci(fine, nan_in, rng), CheckError);
+  EXPECT_THROW((void)bootstrap_median_diff_ci(inf_in, fine, rng), CheckError);
+}
+
+// A sample one past the 32-bit rank range must be refused before any value is
+// read. The span covers a reserved, inaccessible mapping, so a read would
+// fault instead of passing silently.
+TEST(Bootstrap, RejectsSampleBeyondRankRange) {
+  const std::size_t n = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+  const std::size_t bytes = n * sizeof(double);
+  void* mem = mmap(nullptr, bytes, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mem == MAP_FAILED) GTEST_SKIP() << "cannot reserve " << bytes << " bytes";
+  const std::span<const double> huge{static_cast<const double*>(mem), n};
+  const std::vector<double> fine{1.0, 2.0, 3.0};
+  {
+    ScopedCheckThrows guard;
+    Rng rng{16};
+    EXPECT_THROW((void)bootstrap_median_ci(huge, rng), CheckError);
+    EXPECT_THROW((void)bootstrap_median_diff_ci(fine, huge, rng), CheckError);
+  }
+  munmap(mem, bytes);
+}
 
 TEST(Bootstrap, CiContainsSampleMedian) {
   Rng rng{1};
