@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace bgpcmp {
 namespace {
 
@@ -18,8 +20,13 @@ TEST(Ipv4Address, ParsesExtremes) {
 }
 
 struct MalformedCase {
+  const char* name;
   const char* text;
 };
+
+// Printing the case by name keeps the listed test names the same from run to
+// run; gtest's default would print the pointers' bytes.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
 
 class MalformedAddress : public ::testing::TestWithParam<MalformedCase> {};
 
@@ -29,11 +36,16 @@ TEST_P(MalformedAddress, IsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(
     Parsing, MalformedAddress,
-    ::testing::Values(MalformedCase{""}, MalformedCase{"1.2.3"},
-                      MalformedCase{"1.2.3.4.5"}, MalformedCase{"256.0.0.1"},
-                      MalformedCase{"1.2.3.x"}, MalformedCase{"01.2.3.4"},
-                      MalformedCase{"1..2.3"}, MalformedCase{" 1.2.3.4"},
-                      MalformedCase{"1.2.3.4 "}, MalformedCase{"-1.2.3.4"}));
+    ::testing::Values(MalformedCase{"Empty", ""},
+                      MalformedCase{"ThreeOctets", "1.2.3"},
+                      MalformedCase{"FiveOctets", "1.2.3.4.5"},
+                      MalformedCase{"OctetOver255", "256.0.0.1"},
+                      MalformedCase{"NonDigit", "1.2.3.x"},
+                      MalformedCase{"LeadingZero", "01.2.3.4"},
+                      MalformedCase{"EmptyOctet", "1..2.3"},
+                      MalformedCase{"LeadingSpace", " 1.2.3.4"},
+                      MalformedCase{"TrailingSpace", "1.2.3.4 "},
+                      MalformedCase{"NegativeOctet", "-1.2.3.4"}));
 
 TEST(Ipv4Address, RoundTripsThroughString) {
   for (const std::uint32_t bits : {0u, 1u, 0x7F000001u, 0xC0A80101u, 0xFFFFFFFEu}) {
