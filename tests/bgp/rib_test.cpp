@@ -2,13 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bgpcmp/bgp/propagation.h"
+#include "bgpcmp/cdn/provider.h"
 #include "bgpcmp/topology/topology_gen.h"
 
 namespace bgpcmp::bgp {
 namespace {
 
 using topo::AsClass;
+
+/// The edge-by-edge Adj-RIB-in walk candidate_routes_at used before it read
+/// the grouped CSR index: every incident edge in insertion order, roles from
+/// AsEdge. Kept here as the golden the production walk is pinned against.
+std::vector<CandidateRoute> legacy_candidate_routes_at(const topo::AsGraph& graph,
+                                                       const RouteTable& table,
+                                                       const OriginSpec& origin_spec,
+                                                       topo::AsIndex viewer) {
+  std::vector<CandidateRoute> out;
+  for (const topo::EdgeId e : graph.edges_of(viewer)) {
+    const topo::AsIndex nb = graph.other_end(e, viewer);
+    CandidateRoute cand;
+    cand.neighbor = nb;
+    cand.edge = e;
+    cand.neighbor_role = graph.role_of_other(e, viewer);
+    if (nb == table.origin()) {
+      if (!origin_spec.announces_on(graph, e)) continue;
+      cand.neighbor_class = RouteClass::Origin;
+      cand.length = static_cast<std::uint16_t>(1 + origin_spec.prepend_on(e));
+      cand.as_path = {nb};
+      out.push_back(std::move(cand));
+      continue;
+    }
+    const BestRoute& nbest = table.at(nb);
+    if (!nbest.reachable() || nbest.next_hop == viewer) continue;
+    const bool exports = graph.role_of_other(e, nb) == topo::NeighborRole::Customer ||
+                         nbest.cls == RouteClass::Customer;
+    if (!exports) continue;
+    auto path = table.path(nb);
+    if (std::find(path.begin(), path.end(), viewer) != path.end()) continue;
+    cand.neighbor_class = nbest.cls;
+    cand.length = static_cast<std::uint16_t>(nbest.length + 1);
+    cand.as_path = std::move(path);
+    out.push_back(std::move(cand));
+  }
+  std::sort(out.begin(), out.end(), [&](const CandidateRoute& a, const CandidateRoute& b) {
+    const Asn x = graph.node(a.neighbor).asn;
+    const Asn y = graph.node(b.neighbor).asn;
+    return x != y ? x < y : a.neighbor < b.neighbor;
+  });
+  return out;
+}
+
+void expect_same_candidates(const std::vector<CandidateRoute>& got,
+                            const std::vector<CandidateRoute>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].neighbor, want[i].neighbor) << i;
+    EXPECT_EQ(got[i].edge, want[i].edge) << i;
+    EXPECT_EQ(got[i].neighbor_role, want[i].neighbor_role) << i;
+    EXPECT_EQ(got[i].neighbor_class, want[i].neighbor_class) << i;
+    EXPECT_EQ(got[i].length, want[i].length) << i;
+    EXPECT_EQ(got[i].as_path, want[i].as_path) << i;
+  }
+}
 
 /// Content provider CP multihomed to T1a+T1b (transit), peering with TRa and
 /// directly with eyeball EBa. Origin under test: EBa's prefix.
@@ -159,6 +217,47 @@ TEST_F(RibTest, RouteDiversityOnGeneratedInternet) {
     if (candidates.size() >= 2) ++multi;
   }
   EXPECT_GT(multi, total / 2);
+}
+
+TEST(RibDifferential, MatchesLegacyWalkForEveryEyeballOrigin) {
+  // Default 1x world with the content provider attached: at the provider (a
+  // multi-homed viewer with transit and many peers) and at a Tier-1, every
+  // eyeball origin's candidate list must equal the legacy walk's, field by
+  // field and in order.
+  topo::Internet net = topo::build_internet(topo::InternetConfig{});
+  const auto provider = cdn::ContentProvider::attach(net, cdn::ProviderConfig{});
+  ASSERT_FALSE(net.tier1s.empty());
+  const topo::AsIndex viewers[] = {provider.as_index(), net.tier1s.front()};
+  std::size_t heard = 0;
+  for (const topo::AsIndex eb : net.eyeballs) {
+    const OriginSpec spec = OriginSpec::everywhere(eb);
+    const auto table = compute_routes(net.graph, spec);
+    for (const topo::AsIndex viewer : viewers) {
+      const auto got = candidate_routes_at(net.graph, table, spec, viewer);
+      expect_same_candidates(got, legacy_candidate_routes_at(net.graph, table, spec, viewer));
+      heard += got.size();
+    }
+  }
+  EXPECT_GT(heard, 2 * net.eyeballs.size());
+}
+
+TEST(RibDifferential, MatchesLegacyWalkUnderScopedOrigin) {
+  topo::Internet net = topo::build_internet(topo::InternetConfig{});
+  const auto provider = cdn::ContentProvider::attach(net, cdn::ProviderConfig{});
+  int checked = 0;
+  for (std::size_t k = 0; k < net.eyeballs.size(); k += 11) {
+    const topo::AsIndex eb = net.eyeballs[k];
+    const auto direct = net.graph.find_edge(provider.as_index(), eb);
+    if (!direct) continue;
+    OriginSpec spec = OriginSpec::scoped(eb, net.graph.edge(*direct).links);
+    spec.prepend[*direct] = 3;
+    const auto table = compute_routes(net.graph, spec);
+    expect_same_candidates(
+        candidate_routes_at(net.graph, table, spec, provider.as_index()),
+        legacy_candidate_routes_at(net.graph, table, spec, provider.as_index()));
+    ++checked;
+  }
+  EXPECT_GT(checked, 3);
 }
 
 }  // namespace
