@@ -3,11 +3,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/core/scale_study.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/exec/thread_pool.h"
@@ -25,6 +28,25 @@ using namespace bgpcmp;
 const core::Scenario& shared_scenario() {
   static const auto scenario = core::Scenario::make();
   return *scenario;
+}
+
+// The default world with every AS-class count multiplied by `scale`, provider
+// attached, built once per scale. Route benches take the scale as their Arg:
+// at 1x (369 ASes) a table's state fits in L1; at 30x (11,041 ASes) it does
+// not, and that is the size the streaming study warms.
+const core::ScaleWorld& scaled_world(std::int64_t scale) {
+  static std::map<std::int64_t, std::unique_ptr<core::ScaleWorld>> worlds;
+  auto& slot = worlds[scale];
+  if (!slot) {
+    core::ScenarioConfig cfg;
+    const auto mult = static_cast<int>(scale);
+    cfg.internet.tier1_count *= mult;
+    cfg.internet.transit_count *= mult;
+    cfg.internet.eyeball_count *= mult;
+    cfg.internet.stub_count *= mult;
+    slot = core::ScaleWorld::make(cfg);
+  }
+  return *slot;
 }
 
 // World construction at 1x/4x/10x AS counts. The indexed build (presence set,
@@ -61,7 +83,7 @@ void BM_WorldCacheHit(benchmark::State& state) {
 BENCHMARK(BM_WorldCacheHit)->Unit(benchmark::kMicrosecond);
 
 void BM_RoutePropagation(benchmark::State& state) {
-  const auto& sc = shared_scenario();
+  const auto& sc = scaled_world(state.range(0));
   const auto origins = sc.internet.eyeballs;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -70,11 +92,11 @@ void BM_RoutePropagation(benchmark::State& state) {
     benchmark::DoNotOptimize(table.size());
   }
 }
-BENCHMARK(BM_RoutePropagation)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RoutePropagation)->Arg(1)->Arg(30)->Unit(benchmark::kMicrosecond);
 
-// The retired full-scan fixpoint, kept as the golden reference the worklist
-// is pinned against; the gap between this and BM_RoutePropagation is the
-// worklist + CSR win.
+// The retired full-scan fixpoint, kept as the golden reference the kernel
+// is pinned against; the gap between this and BM_RoutePropagation/1 is the
+// worklist + CSR + provider-first sweep win.
 void BM_RoutePropagationReference(benchmark::State& state) {
   const auto& sc = shared_scenario();
   const auto origins = sc.internet.eyeballs;
@@ -87,22 +109,30 @@ void BM_RoutePropagationReference(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutePropagationReference)->Unit(benchmark::kMicrosecond);
 
-// Warm every eyeball origin's table through the two-phase cache at pool
-// width Arg. On the single-CPU reference container widths >1 mostly measure
+// Warm eyeball origins' tables through the two-phase cache: Args are
+// (scale, pool width). At 1x every eyeball is warmed; at 30x the first 256,
+// one streaming-study chunk. Widths >1 on a single CPU mostly measure
 // dispatch overhead; the byte-identical-at-any-width contract is what the
 // tests pin.
 void BM_RouteCacheWarm(benchmark::State& state) {
-  const auto& sc = shared_scenario();
-  const auto origins = sc.internet.eyeballs;
-  sc.internet.graph.edge_index();  // exclude the one-time CSR build
-  exec::ThreadPool pool{static_cast<int>(state.range(0))};
+  const auto& sc = scaled_world(state.range(0));
+  const auto& eyeballs = sc.internet.eyeballs;
+  const std::vector<topo::AsIndex> origins(
+      eyeballs.begin(), eyeballs.begin() + std::min<std::ptrdiff_t>(256, std::ssize(eyeballs)));
+  (void)sc.internet.graph.edge_index();  // exclude the one-time CSR build
+  exec::ThreadPool pool{static_cast<int>(state.range(1))};
   for (auto _ : state) {
     bgp::RouteCache cache{&sc.internet.graph};
     cache.warm(origins, pool);
     benchmark::DoNotOptimize(cache.size());
   }
 }
-BENCHMARK(BM_RouteCacheWarm)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteCacheWarm)
+    ->Args({1, 1})
+    ->Args({1, 8})
+    ->Args({30, 1})
+    ->Args({30, 8})
+    ->Unit(benchmark::kMillisecond);
 
 // fig1's actual hot loop: the CI of (BGP - best alternate) medians, called
 // once per <pair, window> with the study's own bootstrap options. The Arg is
@@ -132,7 +162,7 @@ BENCHMARK(BM_BootstrapMedianDiffCi)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CandidateRoutes(benchmark::State& state) {
-  const auto& sc = shared_scenario();
+  const auto& sc = scaled_world(state.range(0));
   const auto table =
       bgp::compute_routes(sc.internet.graph, sc.internet.eyeballs.front());
   for (auto _ : state) {
@@ -141,7 +171,7 @@ void BM_CandidateRoutes(benchmark::State& state) {
     benchmark::DoNotOptimize(candidates.size());
   }
 }
-BENCHMARK(BM_CandidateRoutes)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CandidateRoutes)->Arg(1)->Arg(30)->Unit(benchmark::kMicrosecond);
 
 // RouteTable::path on the serving hot path: every query materializes an AS
 // path, so the walk should cost one allocation (the stored route length

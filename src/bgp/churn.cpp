@@ -128,6 +128,7 @@ ChurnStats ChurnEngine::reconverge(std::span<const ChurnEvent> events) {
   OriginSpec neweff = materialize();
   detail::check_origin(*graph_, neweff);
   const topo::EdgeIndex& idx = graph_->edge_index();
+  const std::span<const std::uint32_t> asns = idx.asns();
   const auto session = [&](const OriginSpec& s, EdgeId e) {
     const bool ann = s.announces_on(*graph_, e);
     return std::pair<bool, int>{ann, ann ? s.prepend_on(e) : 0};
@@ -195,7 +196,7 @@ ChurnStats ChurnEngine::reconverge(std::span<const ChurnEvent> events) {
   st.invalidated_customer = dirty.size();
 
   const auto relax_up = [&](AsIndex into, std::uint32_t cand, AsIndex nh, EdgeId e) {
-    if (detail::better(*graph_, cand, nh, t.cust[into])) {
+    if (detail::better(asns, cand, nh, t.cust[into])) {
       cust_saved_.save(into, t.cust[into]);
       t.cust[into] = ClassState{cand, nh, e};
       wl.push(into);
@@ -257,7 +258,7 @@ ChurnStats ChurnEngine::reconverge(std::span<const ChurnEvent> events) {
         if (!t.cust[from].valid()) continue;  // peers export only customer routes
         cand = t.cust[from].len + 1;
       }
-      if (detail::better(*graph_, cand, from, best)) best = ClassState{cand, from, e};
+      if (detail::better(asns, cand, from, best)) best = ClassState{cand, from, e};
     }
     t.peer[x] = best;
   };
@@ -338,11 +339,11 @@ ChurnStats ChurnEngine::reconverge(std::span<const ChurnEvent> events) {
   const auto relax_down = [&](AsIndex from, std::uint32_t cand, EdgeId e) {
     const AsIndex c = graph_->edge(e).b;
     if (c == o) return;
-    if (detail::better(*graph_, cand, from, t.prov[c])) {
+    if (detail::better(asns, cand, from, t.prov[c])) {
       prov_saved_.save(c, t.prov[c]);
       t.prov[c] = ClassState{cand, from, e};
       // Only provider-selected ASes re-export from here, so only they
-      // re-enter the worklist (same guard as the full converge).
+      // re-enter the worklist.
       if (!t.cust[c].valid() && !t.peer[c].valid()) wl.push(c);
     }
   };

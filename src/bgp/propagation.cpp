@@ -1,5 +1,6 @@
 #include "bgpcmp/bgp/propagation.h"
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,11 @@ Tables compute_tables(const AsGraph& graph, const OriginSpec& origin) {
   check_origin(graph, origin);
   const topo::EdgeIndex& idx = graph.edge_index();
   const std::size_t n = graph.as_count();
+  const std::span<const AsIndex> order = idx.provider_first();
+  BGPCMP_CHECK_EQ(order.size(), n,
+                  "provider-customer edges form a cycle; Gao-Rexford propagation "
+                  "needs an acyclic provider hierarchy");
+  const std::span<const std::uint32_t> asns = idx.asns();
   Tables t{n};
 
   const AsIndex o = origin.origin;
@@ -58,88 +64,91 @@ Tables compute_tables(const AsGraph& graph, const OriginSpec& origin) {
   // Stage 1: customer routes. An AS has one iff the origin is in its customer
   // cone. Seed the origin's announcements up its provider edges, then relax
   // each improved AS's provider edges until the wave dies out. Relaxation is
-  // monotone in (length, next-hop ASN), so any processing order converges to
-  // the same least fixpoint the reference full-scan computes.
-  for (const EdgeId e : idx.up_edges(o)) {
-    if (!origin.announces_on(graph, e)) continue;
-    const AsIndex provider = graph.edge(e).a;
-    const auto cand = static_cast<std::uint32_t>(1 + origin.prepend_on(e));
-    if (better(graph, cand, o, t.cust[provider])) {
-      t.cust[provider] = ClassState{cand, o, e};
-      wl.push(provider);
+  // monotone in (length, next-hop ASN, next-hop index), so any processing
+  // order converges to the same least fixpoint the reference full-scan
+  // computes. `cone` lists every AS that gained a customer route.
+  std::vector<AsIndex> cone;
+  const auto relax_up = [&](AsIndex provider, std::uint32_t cand, AsIndex from, EdgeId e) {
+    ClassState& cur = t.cust[provider];
+    if (!better(asns, cand, from, cur)) return;
+    if (!cur.valid()) cone.push_back(provider);
+    cur = ClassState{cand, from, e};
+    wl.push(provider);
+  };
+  {
+    const auto edges = idx.up_edges(o);
+    const auto far = idx.up_far(o);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      if (!origin.announces_on(graph, edges[k])) continue;
+      relax_up(far[k], static_cast<std::uint32_t>(1 + origin.prepend_on(edges[k])), o,
+               edges[k]);
     }
   }
   while (!wl.empty()) {
     const AsIndex x = wl.pop();
-    const std::uint32_t len = t.cust[x].len;
-    for (const EdgeId e : idx.up_edges(x)) {
-      const AsIndex provider = graph.edge(e).a;
-      if (provider == o) continue;  // origin doesn't learn its own prefix
-      if (better(graph, len + 1, x, t.cust[provider])) {
-        t.cust[provider] = ClassState{len + 1, x, e};
-        wl.push(provider);
-      }
+    const std::uint32_t len = t.cust[x].len + 1;
+    const auto edges = idx.up_edges(x);
+    const auto far = idx.up_far(x);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      if (far[k] == o) continue;  // origin doesn't learn its own prefix
+      relax_up(far[k], len, x, edges[k]);
     }
   }
 
   // Stage 2: peer routes. Valley-freeness allows exactly one peer hop, and
   // only off a customer route (or the origin itself), so one sweep over the
-  // peer edges of customer-routed ASes suffices.
-  for (const EdgeId e : idx.peer_edges(o)) {
-    if (!origin.announces_on(graph, e)) continue;
-    const AsIndex to = graph.other_end(e, o);
-    const auto cand = static_cast<std::uint32_t>(1 + origin.prepend_on(e));
-    if (better(graph, cand, o, t.peer[to])) t.peer[to] = ClassState{cand, o, e};
+  // peer edges of the customer cone suffices.
+  {
+    const auto edges = idx.peer_edges(o);
+    const auto far = idx.peer_far(o);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      if (!origin.announces_on(graph, edges[k])) continue;
+      const auto cand = static_cast<std::uint32_t>(1 + origin.prepend_on(edges[k]));
+      if (better(asns, cand, o, t.peer[far[k]])) t.peer[far[k]] = ClassState{cand, o, edges[k]};
+    }
   }
-  for (AsIndex x = 0; x < n; ++x) {
-    if (!t.cust[x].valid()) continue;  // peers export only customer routes
-    const std::uint32_t len = t.cust[x].len;
-    for (const EdgeId e : idx.peer_edges(x)) {
-      const AsIndex to = graph.other_end(e, x);
+  for (const AsIndex x : cone) {
+    const std::uint32_t len = t.cust[x].len + 1;  // peers export only customer routes
+    const auto edges = idx.peer_edges(x);
+    const auto far = idx.peer_far(x);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const AsIndex to = far[k];
       if (to == o) continue;
-      if (better(graph, len + 1, x, t.peer[to])) {
-        t.peer[to] = ClassState{len + 1, x, e};
-      }
+      if (better(asns, len, x, t.peer[to])) t.peer[to] = ClassState{len, x, edges[k]};
     }
   }
 
   // Stage 3: provider routes. A provider exports its *selected* route (class
-  // preference first, so possibly not its shortest) to customers. The exports
-  // of the origin and of customer-/peer-routed ASes are already final — seed
-  // those once; only ASes whose selection is provider-learned can improve
-  // later, so only they re-enter the worklist.
-  const auto relax_down = [&](AsIndex from, std::uint32_t cand, EdgeId e) {
-    const AsIndex customer = graph.edge(e).b;
-    if (customer == o) return;
-    if (better(graph, cand, from, t.prov[customer])) {
-      t.prov[customer] = ClassState{cand, from, e};
-      if (!t.cust[customer].valid() && !t.peer[customer].valid()) {
-        wl.push(customer);
-      }
-    }
-  };
-  for (const EdgeId e : idx.down_edges(o)) {
-    if (!origin.announces_on(graph, e)) continue;
-    relax_down(o, static_cast<std::uint32_t>(1 + origin.prepend_on(e)), e);
-  }
-  for (AsIndex x = 0; x < n; ++x) {
-    if (x == o) continue;
-    std::uint32_t len;
-    if (t.cust[x].valid()) {
-      len = t.cust[x].len;
-    } else if (t.peer[x].valid()) {
-      len = t.peer[x].len;
-    } else {
+  // preference first, so possibly not its shortest) to customers. One pull
+  // sweep in provider-first order: by the time an AS is visited every
+  // provider's selection is final, so it takes the best of (provider's
+  // export length + 1, provider ASN, provider index) over its up edges, and
+  // records its own export length for its customers.
+  std::vector<std::uint32_t> export_len(n, kInfLen);
+  for (const AsIndex c : order) {
+    if (c == o) {
+      export_len[c] = 0;
       continue;
     }
-    for (const EdgeId e : idx.down_edges(x)) relax_down(x, len + 1, e);
-  }
-  while (!wl.empty()) {
-    const AsIndex x = wl.pop();
-    // x is provider-routed (guarded at push), so its selected length is
-    // t.prov[x].len — the best_len the reference implementation reads.
-    const std::uint32_t len = t.prov[x].len;
-    for (const EdgeId e : idx.down_edges(x)) relax_down(x, len + 1, e);
+    ClassState best{};
+    const auto edges = idx.up_edges(c);
+    const auto far = idx.up_far(c);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const AsIndex p = far[k];
+      std::uint32_t cand;
+      if (p == o) {
+        if (!origin.announces_on(graph, edges[k])) continue;
+        cand = static_cast<std::uint32_t>(1 + origin.prepend_on(edges[k]));
+      } else {
+        if (export_len[p] == kInfLen) continue;
+        cand = export_len[p] + 1;
+      }
+      if (better(asns, cand, p, best)) best = ClassState{cand, p, edges[k]};
+    }
+    t.prov[c] = best;
+    export_len[c] = t.cust[c].valid()   ? t.cust[c].len
+                    : t.peer[c].valid() ? t.peer[c].len
+                                        : best.len;
   }
 
   return t;
@@ -159,6 +168,7 @@ RouteTable compute_routes_reference(const AsGraph& graph, const OriginSpec& orig
   using detail::kInfLen;
   detail::check_origin(graph, origin);
   const std::size_t n = graph.as_count();
+  const std::span<const std::uint32_t> asns = graph.edge_index().asns();
   Tables t{n};
 
   const AsIndex o = origin.origin;
@@ -185,7 +195,7 @@ RouteTable compute_routes_reference(const AsGraph& graph, const OriginSpec& orig
         len_c = t.cust[customer].len;
       }
       const std::uint32_t cand = len_c + 1 + static_cast<std::uint32_t>(extra);
-      if (better(graph, cand, customer, t.cust[provider])) {
+      if (better(asns, cand, customer, t.cust[provider])) {
         t.cust[provider] = ClassState{cand, customer, e};
         changed = true;
       }
@@ -211,7 +221,7 @@ RouteTable compute_routes_reference(const AsGraph& graph, const OriginSpec& orig
         len_f = t.cust[from].len;
       }
       const std::uint32_t cand = len_f + 1 + static_cast<std::uint32_t>(extra);
-      if (better(graph, cand, from, t.peer[to])) {
+      if (better(asns, cand, from, t.peer[to])) {
         t.peer[to] = ClassState{cand, from, e};
       }
     }
@@ -240,7 +250,7 @@ RouteTable compute_routes_reference(const AsGraph& graph, const OriginSpec& orig
         if (len_p == kInfLen) continue;
       }
       const std::uint32_t cand = len_p + 1 + static_cast<std::uint32_t>(extra);
-      if (better(graph, cand, provider, t.prov[customer])) {
+      if (better(asns, cand, provider, t.prov[customer])) {
         t.prov[customer] = ClassState{cand, provider, e};
         changed = true;
       }

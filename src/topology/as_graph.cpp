@@ -30,42 +30,66 @@ std::string_view link_kind_name(LinkKind k) {
 EdgeIndex::EdgeIndex(const AsGraph& graph) {
   const std::size_t n = graph.as_count();
   offsets_.resize(n + 1, 0);
-  up_end_.resize(n);
-  down_end_.resize(n);
-  std::uint32_t cursor = 0;
+  asns_.resize(n);
+  // The class of edge `e` as seen from its endpoint `i`.
+  const auto group_of = [&](EdgeId e, AsIndex i) -> Group& {
+    const AsEdge& edge = graph.edge(e);
+    BGPCMP_CHECK(edge.a == i || edge.b == i, "an AS's edge list must hold its own edges");
+    if (edge.rel == Relationship::PeerPeer) return peer_;
+    return edge.b == i ? up_ : down_;
+  };
+  // Count pass: row sizes per class, then prefix sums into row starts.
+  for (Group* g : {&up_, &down_, &peer_}) g->offsets.assign(n + 1, 0);
   for (AsIndex i = 0; i < n; ++i) {
-    offsets_[i] = cursor;
-    cursor += static_cast<std::uint32_t>(graph.node(i).edges.size());
+    const AsNode& node = graph.node(i);
+    offsets_[i + 1] = offsets_[i] + static_cast<std::uint32_t>(node.edges.size());
+    asns_[i] = node.asn.value();
+    for (const EdgeId e : node.edges) ++group_of(e, i).offsets[i + 1];
   }
-  offsets_[n] = cursor;
-  incident_.resize(cursor);
-  grouped_.resize(cursor);
+  for (Group* g : {&up_, &down_, &peer_}) {
+    for (AsIndex i = 0; i < n; ++i) g->offsets[i + 1] += g->offsets[i];
+    g->edges.resize(g->offsets[n]);
+    g->far.resize(g->offsets[n]);
+  }
+  // Fill pass: each row keeps insertion order within its class.
+  incident_.resize(offsets_[n]);
   for (AsIndex i = 0; i < n; ++i) {
-    const auto& edges = graph.node(i).edges;
     std::uint32_t at = offsets_[i];
-    // Insertion-order layout, then the grouped layout in three passes so each
-    // group preserves insertion order within itself.
-    for (const EdgeId e : edges) incident_[at++] = e;
-    at = offsets_[i];
-    for (const EdgeId e : edges) {
-      const AsEdge& edge = graph.edge(e);
-      if (edge.rel == Relationship::ProviderCustomer && edge.b == i) {
-        grouped_[at++] = e;
-      }
+    for (const EdgeId e : graph.node(i).edges) {
+      incident_[at++] = e;
+      Group& g = group_of(e, i);
+      const std::uint32_t k = g.offsets[i]++;
+      g.edges[k] = e;
+      g.far[k] = graph.other_end(e, i);
     }
-    up_end_[i] = at;
-    for (const EdgeId e : edges) {
-      const AsEdge& edge = graph.edge(e);
-      if (edge.rel == Relationship::ProviderCustomer && edge.a == i) {
-        grouped_[at++] = e;
-      }
-    }
-    down_end_[i] = at;
-    for (const EdgeId e : edges) {
-      if (graph.edge(e).rel == Relationship::PeerPeer) grouped_[at++] = e;
-    }
-    BGPCMP_CHECK_EQ(at, offsets_[i + 1], "incident edges must classify exactly");
   }
+  // The fill advanced each row start to the row's end; shift them back.
+  for (Group* g : {&up_, &down_, &peer_}) {
+    for (AsIndex i = static_cast<AsIndex>(n); i > 0; --i) g->offsets[i] = g->offsets[i - 1];
+    g->offsets[0] = 0;
+  }
+
+  // Kahn's algorithm, one level at a time: an AS becomes ready once every
+  // provider is placed. Each level is placed in index order, so a sweep over
+  // the order walks the per-AS arrays mostly forward.
+  std::vector<std::uint32_t> providers_left(n);
+  provider_first_.reserve(n);
+  for (AsIndex i = 0; i < n; ++i) {
+    providers_left[i] = static_cast<std::uint32_t>(up_far(i).size());
+    if (providers_left[i] == 0) provider_first_.push_back(i);
+  }
+  for (std::size_t level = 0; level < provider_first_.size();) {
+    const std::size_t level_end = provider_first_.size();
+    for (std::size_t h = level; h < level_end; ++h) {
+      for (const AsIndex c : down_far(provider_first_[h])) {
+        if (--providers_left[c] == 0) provider_first_.push_back(c);
+      }
+    }
+    std::sort(provider_first_.begin() + static_cast<std::ptrdiff_t>(level_end),
+              provider_first_.end());
+    level = level_end;
+  }
+  if (provider_first_.size() != n) provider_first_.clear();
 }
 
 const EdgeIndex& AsGraph::edge_index() const {

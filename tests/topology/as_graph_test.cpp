@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "bgpcmp/topology/topology_gen.h"
@@ -181,6 +182,42 @@ TEST_F(AsGraphTest, EdgeIndexGroupsClassifyByRole) {
   EXPECT_EQ(idx.peer_edges(a_)[0], ab_);
 }
 
+TEST_F(AsGraphTest, EdgeIndexFarEndsParallelTheGroups) {
+  const EdgeIndex& idx = g_.edge_index();
+  for (AsIndex i = 0; i < g_.as_count(); ++i) {
+    for (const auto& [edges, far] : {std::pair{idx.up_edges(i), idx.up_far(i)},
+                                     std::pair{idx.down_edges(i), idx.down_far(i)},
+                                     std::pair{idx.peer_edges(i), idx.peer_far(i)}}) {
+      ASSERT_EQ(edges.size(), far.size());
+      for (std::size_t k = 0; k < edges.size(); ++k) {
+        EXPECT_EQ(far[k], g_.other_end(edges[k], i));
+      }
+    }
+    EXPECT_EQ(idx.asns()[i], g_.node(i).asn.value());
+  }
+  ASSERT_EQ(idx.up_far(a_).size(), 1u);
+  EXPECT_EQ(idx.up_far(a_)[0], p_);
+  EXPECT_EQ(idx.peer_far(a_)[0], b_);
+}
+
+TEST_F(AsGraphTest, ProviderFirstOrderPlacesProvidersBeforeCustomers) {
+  // A second level: C is a customer of A, so the order is P, {A, B}, C.
+  const AsIndex c = g_.add_as(Asn{400}, AsClass::Stub, "C", {0});
+  g_.connect_transit(a_, c);
+  const auto order = g_.edge_index().provider_first();
+  EXPECT_EQ(std::vector<AsIndex>(order.begin(), order.end()),
+            (std::vector<AsIndex>{p_, a_, b_, c}));
+}
+
+TEST_F(AsGraphTest, ProviderFirstOrderIsEmptyForAProviderCycle) {
+  // P -> A -> C -> P closes a provider loop: no AS can go first.
+  const AsIndex c = g_.add_as(Asn{400}, AsClass::Stub, "C", {0});
+  g_.connect_transit(a_, c);
+  g_.connect_transit(c, p_);
+  EXPECT_TRUE(g_.edge_index().provider_first().empty());
+  EXPECT_EQ(g_.edge_index().as_count(), 4u);
+}
+
 TEST_F(AsGraphTest, EdgeIndexInvalidatedByMutation) {
   EXPECT_EQ(g_.edge_index().as_count(), 3u);
   const AsIndex c = g_.add_as(Asn{400}, AsClass::Stub, "C", {0});
@@ -243,6 +280,15 @@ TEST(EdgeIndexGenerated, RoundTripsAgainstEdgeIteration) {
   }
   // Every edge appears exactly twice (once per endpoint).
   EXPECT_EQ(total, 2 * g.edge_count());
+  // The provider-first order is a permutation with every provider placed
+  // before each of its customers.
+  const auto order = idx.provider_first();
+  ASSERT_EQ(order.size(), g.as_count());
+  std::vector<std::size_t> pos(g.as_count(), g.as_count());
+  for (std::size_t k = 0; k < order.size(); ++k) pos[order[k]] = k;
+  for (const AsEdge& e : g.edges()) {
+    if (e.rel == Relationship::ProviderCustomer) EXPECT_LT(pos[e.a], pos[e.b]);
+  }
 }
 
 TEST(AsGraphNames, ClassAndKindNames) {
