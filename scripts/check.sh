@@ -38,13 +38,14 @@ cmake -B build "${generator[@]}"
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
-# Propagation golden suite under AddressSanitizer: the worklist propagation
-# and the incremental churn engine must stay pinned byte-identical to the
-# reference with heap checking on. ('Seeds/*' picks up the parameterized
+# Propagation golden suite under AddressSanitizer: the propagation kernel,
+# the Adj-RIB-in walk (Rib*, pinned to its edge-by-edge golden) and the
+# incremental churn engine must stay pinned byte-identical to their
+# references with heap checking on. ('Seeds/*' picks up the parameterized
 # randomized-stream equivalence suite, Seeds/ChurnProperty.)
 cmake --preset asan
 cmake --build build-asan -j "$(nproc)" --target bgp_test
-build-asan/tests/bgp_test --gtest_filter='Propagation*:RouteCache*:Churn*:Seeds/*'
+build-asan/tests/bgp_test --gtest_filter='Propagation*:Rib*:RouteCache*:Churn*:Seeds/*'
 
 # Reproducibility gate: every registered scenario, studies included.
 build/tools/determinism_audit
