@@ -16,9 +16,11 @@
 //                      the streaming path exists to beat (its RouteCache
 //                      holds a warmed table for every client origin).
 //   BM_ShardedRun      the end-to-end multi-process run: two forked
-//                      workers each build the world, stream their block of
-//                      chunks, and write the wire format; the parent merges
-//                      and fingerprints. Same bytes as the serial run —
+//                      workers (tools::run_shards, the harness `bgpcmp
+//                      shard` uses) each build the world, run their block
+//                      of chunks (core::run_scale_block), and write the wire
+//                      format; the parent merges and fingerprints. Same
+//                      bytes as the serial run —
 //                      pinned by tests/core/shard_test.cpp and `bgpcmp
 //                      shard --check`, not here.
 //
@@ -44,7 +46,6 @@
 #include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/topology/topology_gen.h"
 #include "bgpcmp/topology/world_snapshot.h"
-#include "bgpcmp/traffic/client_stream.h"
 #include "../tools/shard_util.h"
 #include "rss_probe.h"
 
@@ -171,32 +172,20 @@ BENCHMARK(BM_StudyWindowEager)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMil
 // BM_StudyWindowStream's peak, not the eager study's.
 void BM_ShardedRun(benchmark::State& state) {
   constexpr int kShards = 2;
-  const auto scale = state.range(0);
+  const auto scale = std::to_string(state.range(0));
   const auto windows = core::study_windows(bench_study().study);
   for (auto _ : state) {
-    std::vector<pid_t> pids;
-    std::vector<std::string> outs;
-    for (int w = 0; w < kShards; ++w) {
-      outs.push_back(tools::worker_out_path("e20", w));
-      pids.push_back(tools::spawn_worker(
-          {tools::self_exe(), "--scale-worker", std::to_string(w),
-           "--scale-shards", std::to_string(kShards), "--scale",
-           std::to_string(scale), "--scale-out", outs.back()}));
-    }
-    if (!tools::wait_all(pids)) {
+    const auto run = tools::run_shards(kShards, "e20", [&](int w, const std::string& out) {
+      return std::vector<std::string>{tools::self_exe(), "--scale-worker", std::to_string(w),
+                                      "--scale-shards", std::to_string(kShards),
+                                      "--scale", scale, "--scale-out", out};
+    });
+    if (!run.failed.empty()) {
       state.SkipWithError("shard worker failed");
       return;
     }
     std::string wire;
-    for (const auto& path : outs) {
-      std::string text;
-      if (!tools::read_file(path, &text)) {
-        state.SkipWithError("missing worker output");
-        return;
-      }
-      wire += text;
-      std::remove(path.c_str());
-    }
+    for (const auto& text : run.outputs) wire += text;
     auto chunks = core::decode_scale_chunks(wire);
     std::uint32_t chunk_count = 0;
     for (const auto& c : chunks) chunk_count = std::max(chunk_count, c.chunk + 1);
@@ -209,10 +198,10 @@ void BM_ShardedRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedRun)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
-/// --scale-worker mode: build the world, stream one contiguous block of
-/// chunks, write the wire format to --scale-out. Mirrors `bgpcmp shard`'s
-/// worker but with E20's fixed study config, so the benchmark measures
-/// exactly the phases it names.
+/// --scale-worker mode: build the world, run one contiguous block of chunks
+/// (core::run_scale_block, as `bgpcmp shard`'s worker does), and write the
+/// wire format to --scale-out — with E20's fixed study config, so the
+/// benchmark measures exactly the phases it names.
 int run_scale_worker(int argc, char** argv) {
   int worker = -1;
   int shards = 0;
@@ -236,22 +225,10 @@ int run_scale_worker(int argc, char** argv) {
   }
   const auto world = core::ScaleWorld::make(scaled_config(scale));
   const auto cfg = bench_study();
-  const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                     cfg.chunk_origins};
-  const auto windows = core::study_windows(cfg.study);
-  const auto range = core::shard_range(stream.chunk_count(), shards, worker);
   std::ofstream out{out_path, std::ios::binary};
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  if (!range.empty()) {
-    traffic::DemandStream cursor{world->config.demand};
-    cursor.skip(stream.chunk_prefix_range(range.begin).first);
-    for (std::size_t c = range.begin; c < range.end; ++c) {
-      out << core::encode_scale_chunk(
-          core::run_scale_chunk(*world, cfg, windows, stream, cursor, c));
-    }
+  for (const auto& chunk : core::run_scale_block(*world, cfg, core::study_windows(cfg.study),
+                                                 shards, worker)) {
+    out << core::encode_scale_chunk(chunk);
   }
   out.flush();
   return out ? 0 : 2;

@@ -108,9 +108,11 @@ fi
 # silently swelling. Reference-container peak RSS for this command is
 # ~0.4 GB per worker (BENCH_scale.json); the 2 GB cap leaves headroom for
 # allocator/VM overhead while still catching an order-of-magnitude blowup.
+# --check also runs the study in-process and requires the same fingerprint,
+# so sharded-vs-serial equality is checked at 30x, not only at 1x (cli_shard).
 (
   ulimit -v 2097152
-  build/tools/bgpcmp shard --scale 30 --shards 2 --days 0.011 --chunk-origins 256
+  build/tools/bgpcmp shard --scale 30 --shards 2 --days 0.011 --chunk-origins 256 --check
 )
 
 for b in build/bench/*; do

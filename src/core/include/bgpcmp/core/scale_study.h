@@ -20,10 +20,10 @@
 //     improvable fraction).
 //
 //   * Per-chunk results are pure in (world, config, chunk) and carry a
-//     canonical merge line, so chunks can run in different OS processes
-//     (tools/shard_runner) and merge back — in chunk order — into a result
-//     byte-identical to the single-process run. fingerprint() is the value
-//     the shard harness compares.
+//     canonical merge line, so contiguous blocks of chunks (run_scale_block)
+//     can run in different OS processes (`bgpcmp shard`) and merge back — in
+//     chunk order — into a result byte-identical to the single-process run.
+//     fingerprint() is the value the shard harness compares.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +113,15 @@ BGPCMP_PURE_CHUNK
                                                const traffic::ClientStream& stream,
                                                traffic::DemandStream& demand,
                                                std::size_t chunk);
+
+/// Run worker `index`'s contiguous block of the study's chunks
+/// (shard_range over the chunk count, core/shard.h): one demand cursor
+/// skipped to the block's first prefix, then streamed. Blocks concatenated
+/// in worker order are the serial study's chunks, for any `shards`; a worker
+/// past the chunk count gets an empty block.
+[[nodiscard]] std::vector<ScaleChunkResult> run_scale_block(
+    const ScaleWorld& world, const ScaleStudyConfig& config,
+    const std::vector<TimeWindow>& windows, int shards, int index);
 
 /// Run the full streaming study in this process: all chunks in order, peak
 /// memory bounded by config.chunk_origins.

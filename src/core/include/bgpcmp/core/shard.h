@@ -3,13 +3,14 @@
 //
 // The substrate's determinism story so far covers threads (exec::ThreadPool,
 // pinned by determinism_audit --compare-threads). Processes are the next
-// axis: a shard harness (tools/shard_runner, bgpcmp shard,
-// determinism_audit --shards) forks workers, each worker computes a
-// contiguous block of units (registry scenarios, study chunks, sweep seeds),
-// and the parent merges per-unit result lines back in unit order. Everything
-// here is pure logic — partitioning, line merging, and the text codec for
-// streaming-study chunks — so it unit-tests without spawning anything; the
-// fork/exec plumbing lives in tools/shard_util.h.
+// axis: a shard harness (bgpcmp shard, determinism_audit --shards) forks
+// workers, each worker computes a contiguous block of units (registry
+// scenarios or study chunks; run_scale_block in core/scale_study.h is the
+// study's block loop), and the parent merges per-unit result lines back in
+// unit order. Everything here is pure logic — partitioning, line merging,
+// and the text codec for streaming-study chunks — so it unit-tests without
+// spawning anything; the one fork/exec routine, run_shards, lives in
+// tools/shard_util.h.
 //
 // The invariant every harness leans on: units are pure in (config, unit id),
 // so  merge(shard(units, N))  ==  merge(shard(units, 1))  byte-for-byte, for

@@ -7,6 +7,7 @@
 #include "bgpcmp/bgp/route_cache.h"
 #include "bgpcmp/core/fingerprint.h"
 #include "bgpcmp/core/pop_pair.h"
+#include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/rtt_sampler.h"
 #include "bgpcmp/netbase/check.h"
@@ -128,18 +129,29 @@ ScaleChunkResult run_scale_chunk(const ScaleWorld& world,
   return out;
 }
 
+std::vector<ScaleChunkResult> run_scale_block(const ScaleWorld& world,
+                                              const ScaleStudyConfig& config,
+                                              const std::vector<TimeWindow>& windows,
+                                              int shards, int index) {
+  const traffic::ClientStream stream{&world.internet, world.config.clients,
+                                     config.chunk_origins};
+  const ShardRange range = shard_range(stream.chunk_count(), shards, index);
+  std::vector<ScaleChunkResult> chunks;
+  if (range.empty()) return chunks;
+  traffic::DemandStream demand{world.config.demand};
+  demand.skip(stream.chunk_prefix_range(range.begin).first);
+  chunks.reserve(range.size());
+  for (std::size_t c = range.begin; c < range.end; ++c) {
+    chunks.push_back(run_scale_chunk(world, config, windows, stream, demand, c));
+  }
+  return chunks;
+}
+
 ScaleStudyResult run_scale_study(const ScaleWorld& world,
                                  const ScaleStudyConfig& config) {
   ScaleStudyResult result;
   result.windows = study_windows(config.study);
-  const traffic::ClientStream stream{&world.internet, world.config.clients,
-                                     config.chunk_origins};
-  traffic::DemandStream demand{world.config.demand};
-  result.chunks.reserve(stream.chunk_count());
-  for (std::size_t c = 0; c < stream.chunk_count(); ++c) {
-    result.chunks.push_back(
-        run_scale_chunk(world, config, result.windows, stream, demand, c));
-  }
+  result.chunks = run_scale_block(world, config, result.windows, 1, 0);
   return result;
 }
 

@@ -1,11 +1,17 @@
 // Deterministic sharding logic (core/shard.h): partitioning, the chunk
 // codec, and the merge — everything the multi-process harnesses rely on,
-// exercised without spawning a process.
+// exercised without spawning a process — plus the one routine that does
+// spawn them (tools/shard_util.h), driven with shell-script workers.
 #include "bgpcmp/core/shard.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
+
 #include "bgpcmp/netbase/check.h"
+#include "../../tools/shard_util.h"
 #include "../testutil.h"
 
 namespace bgpcmp::core {
@@ -112,8 +118,8 @@ TEST(MergeScaleChunks, RejectsMissingChunk) {
 
 TEST(ShardedStudy, BlocksMergeToTheSerialResult) {
   // The full multi-process contract, minus the processes: run the study's
-  // chunks as N contiguous blocks (fresh stream and cursor per block, like a
-  // worker), encode/decode across the "boundary", merge, and compare bytes.
+  // chunks as N contiguous blocks (each one a worker's run_scale_block),
+  // encode/decode across the "boundary", merge, and compare bytes.
   const auto cfg = test::small_scenario_config();
   const auto world = ScaleWorld::make(cfg);
   ScaleStudyConfig scfg;
@@ -122,28 +128,111 @@ TEST(ShardedStudy, BlocksMergeToTheSerialResult) {
   scfg.chunk_origins = 16;
   const auto serial = run_scale_study(*world, scfg);
   const auto windows = study_windows(scfg.study);
+  const auto chunk_count = serial.chunks.size();
 
-  for (const int shards : {1, 2, 3}) {
+  // The last count exceeds the chunk count, so some blocks are empty.
+  for (const int shards : {1, 2, 3, static_cast<int>(chunk_count) + 2}) {
     std::string wire;
-    const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                       scfg.chunk_origins};
     for (int w = 0; w < shards; ++w) {
-      const auto range = shard_range(stream.chunk_count(), shards, w);
-      traffic::DemandStream cursor{world->config.demand};
-      if (range.empty()) continue;
-      cursor.skip(stream.chunk_prefix_range(range.begin).first);
-      for (std::size_t c = range.begin; c < range.end; ++c) {
-        wire += encode_scale_chunk(
-            run_scale_chunk(*world, scfg, windows, stream, cursor, c));
+      for (const auto& chunk : run_scale_block(*world, scfg, windows, shards, w)) {
+        wire += encode_scale_chunk(chunk);
       }
     }
-    const auto merged = merge_scale_chunks(decode_scale_chunks(wire),
-                                           stream.chunk_count(), windows);
+    const auto merged =
+        merge_scale_chunks(decode_scale_chunks(wire), chunk_count, windows);
     EXPECT_EQ(merged.fingerprint(), serial.fingerprint()) << shards << " shards";
     EXPECT_EQ(merged.improvable_traffic_fraction(2.0),
               serial.improvable_traffic_fraction(2.0))
         << shards << " shards";
   }
+}
+
+// tools/shard_util.h's run_shards, with /bin/sh workers under a private
+// TMPDIR: outputs come back in worker order, a failed worker is named with
+// its cause, and no worker file outlives the run.
+class RunShards : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const char* old = std::getenv("TMPDIR");
+    if (old != nullptr) saved_ = old;
+    had_tmpdir_ = old != nullptr;
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("run_shards_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  void TearDown() override {
+    if (had_tmpdir_) {
+      ::setenv("TMPDIR", saved_.c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Run three workers; worker `w` runs `script(w)` with its output path as $0.
+  tools::ShardRun run(const std::function<std::string(int)>& script,
+                      std::string* err) {
+    ::testing::internal::CaptureStderr();
+    auto result = tools::run_shards(3, "test", [&](int w, const std::string& out) {
+      return std::vector<std::string>{"/bin/sh", "-c", script(w), out};
+    });
+    *err = ::testing::internal::GetCapturedStderr();
+    return result;
+  }
+
+  std::size_t leftover_files() const {
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().filename().string().starts_with("bgpcmp_shard_")) ++n;
+    }
+    return n;
+  }
+
+ private:
+  std::filesystem::path dir_;
+  std::string saved_;
+  bool had_tmpdir_ = false;
+};
+
+TEST_F(RunShards, ReturnsOutputsInWorkerOrder) {
+  std::string err;
+  const auto result = run(
+      [](int w) { return "printf 'out %d\\n' " + std::to_string(w) + " > \"$0\""; }, &err);
+  EXPECT_TRUE(result.failed.empty()) << err;
+  EXPECT_EQ(result.outputs, (std::vector<std::string>{"out 0\n", "out 1\n", "out 2\n"}));
+  EXPECT_EQ(leftover_files(), 0u);
+}
+
+TEST_F(RunShards, NamesAKilledWorkerAndItsSignal) {
+  std::string err;
+  const auto result = run(
+      [](int w) {
+        return w == 1 ? std::string{"echo partial > \"$0\"; kill -9 $$"}
+                      : std::string{"echo done > \"$0\""};
+      },
+      &err);
+  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_EQ(result.failed, std::vector<int>{1});
+  EXPECT_NE(err.find("shard worker 1 of 3 failed: killed by signal 9 (SIGKILL)"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(leftover_files(), 0u);
+}
+
+TEST_F(RunShards, NamesAWorkerThatExitsNonzero) {
+  std::string err;
+  const auto result = run(
+      [](int w) {
+        return w == 2 ? std::string{"exit 3"} : std::string{"echo done > \"$0\""};
+      },
+      &err);
+  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_EQ(result.failed, std::vector<int>{2});
+  EXPECT_NE(err.find("shard worker 2 of 3 failed: exit code 3"), std::string::npos)
+      << err;
+  EXPECT_EQ(leftover_files(), 0u);
 }
 
 }  // namespace

@@ -351,50 +351,26 @@ int cmd_shard(const Args& args, int argc, char** argv) {
       return 1;
     }
     const auto world = core::ScaleWorld::make(preset_config(args));
-    const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                       scfg.chunk_origins};
-    const auto windows = core::study_windows(scfg.study);
-    const auto range = core::shard_range(stream.chunk_count(), shards, worker);
-    traffic::DemandStream cursor{world->config.demand};
-    if (!range.empty()) {
-      cursor.skip(stream.chunk_prefix_range(range.begin).first);
-    }
     std::ofstream file{out->second, std::ios::binary};
-    if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", out->second.c_str());
-      return 1;
-    }
-    for (std::size_t c = range.begin; c < range.end; ++c) {
-      file << core::encode_scale_chunk(
-          core::run_scale_chunk(*world, scfg, windows, stream, cursor, c));
+    for (const auto& chunk : core::run_scale_block(
+             *world, scfg, core::study_windows(scfg.study), shards, worker)) {
+      file << core::encode_scale_chunk(chunk);
     }
     file.flush();
+    if (!file) std::fprintf(stderr, "cannot write %s\n", out->second.c_str());
     return file ? 0 : 1;
   }
 
-  std::vector<pid_t> pids;
-  std::vector<std::string> out_paths;
-  for (int w = 0; w < shards; ++w) {
+  const auto run = tools::run_shards(shards, "study", [&](int w, const std::string& out) {
     std::vector<std::string> worker_argv{tools::self_exe()};
     for (int i = 1; i < argc; ++i) worker_argv.emplace_back(argv[i]);
-    out_paths.push_back(tools::worker_out_path("study", w));
-    worker_argv.insert(worker_argv.end(),
-                       {"--worker", std::to_string(w), "--out", out_paths.back()});
-    pids.push_back(tools::spawn_worker(worker_argv));
-  }
-  if (!tools::wait_all(pids)) return 1;
-
-  std::vector<core::ScaleChunkResult> chunks;
-  for (const auto& path : out_paths) {
-    std::string text;
-    if (!tools::read_file(path, &text)) {
-      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
-      return 1;
-    }
-    auto decoded = core::decode_scale_chunks(text);
-    for (auto& chunk : decoded) chunks.push_back(std::move(chunk));
-    std::remove(path.c_str());
-  }
+    worker_argv.insert(worker_argv.end(), {"--worker", std::to_string(w), "--out", out});
+    return worker_argv;
+  });
+  if (!run.failed.empty()) return 1;
+  std::string wire;
+  for (const auto& text : run.outputs) wire += text;
+  auto chunks = core::decode_scale_chunks(wire);
   std::size_t chunk_count = 0;
   for (const auto& chunk : chunks) {
     chunk_count = std::max(chunk_count, static_cast<std::size_t>(chunk.chunk) + 1);

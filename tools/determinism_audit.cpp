@@ -21,10 +21,14 @@
 //                                     forked worker processes (contiguous
 //                                     registry blocks, merged in registry
 //                                     order): any divergence means results
-//                                     depend on which process computes them
+//                                     depend on which process computes them.
+//                                     --scenario narrows it like any mode;
+//                                     --compare-threads and --dump do not
+//                                     combine with it (exit 2)
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,94 +67,91 @@ core::FingerprintOptions options_for(const core::RegisteredScenario& s,
   return options;
 }
 
-/// --shards worker: fingerprint this block of the registry into --shard-out.
-int run_shard_worker(int shards, int worker, const std::string& out_path,
-                     bool skip_studies) {
-  const auto registry = core::scenario_registry();
-  const auto range = core::shard_range(registry.size(), shards, worker);
-  std::ofstream out{out_path, std::ios::binary};
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
+/// The audited units: the registry in order, or just the --scenario one.
+using Units = std::vector<const core::RegisteredScenario*>;
+
+Units audit_units(const std::string& only) {
+  Units units;
+  for (const auto& s : core::scenario_registry()) {
+    if (only.empty() || s.name == only) units.push_back(&s);
   }
+  return units;
+}
+
+std::string hex16(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+/// One unit's "name hash" line: what a shard worker writes, what the
+/// in-process pass renders to compare against, and what the merge hashes.
+std::string unit_line(const core::RegisteredScenario& s, bool skip_studies) {
+  return std::string(s.name) + " " +
+         hex16(core::scenario_fingerprint(s.config(), options_for(s, skip_studies)));
+}
+
+/// --shards worker: this worker's block of unit lines into --shard-out.
+int run_shard_worker(const Units& units, int shards, int worker,
+                     const std::string& out_path, bool skip_studies) {
+  const auto range = core::shard_range(units.size(), shards, worker);
+  std::ofstream out{out_path, std::ios::binary};
   for (std::size_t i = range.begin; i < range.end; ++i) {
-    const auto& s = registry[i];
-    const auto hash =
-        core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
-    char line[96];
-    std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
-                  static_cast<unsigned long long>(hash));
-    out << line << '\n';
+    out << unit_line(*units[i], skip_studies) << '\n';
   }
   out.flush();
   return out ? 0 : 2;
 }
 
 /// --shards parent: run 1 in this process, run 2 across forked workers.
-int run_sharded_audit(int shards, bool skip_studies) {
-  const auto registry = core::scenario_registry();
-  std::vector<pid_t> pids;
-  std::vector<std::string> out_paths;
-  for (int w = 0; w < shards; ++w) {
-    out_paths.push_back(tools::worker_out_path("audit", w));
-    std::vector<std::string> argv{tools::self_exe(),   "--shard-worker",
-                                  std::to_string(w),   "--shards",
-                                  std::to_string(shards), "--shard-out",
-                                  out_paths.back()};
-    if (skip_studies) argv.emplace_back("--skip-studies");
-    pids.push_back(tools::spawn_worker(argv));
-  }
-
-  // Run 1, computed while the workers run: the in-process reference.
+int run_sharded_audit(const Units& units, int shards, bool skip_studies,
+                      const std::string& only) {
   std::vector<std::string> local;
-  for (const auto& s : registry) {
-    const auto hash =
-        core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
-    char line[96];
-    std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
-                  static_cast<unsigned long long>(hash));
-    local.emplace_back(line);
-  }
+  for (const auto* s : units) local.push_back(unit_line(*s, skip_studies));
 
-  if (!tools::wait_all(pids)) return 1;
-  std::vector<std::string> sharded;
-  for (const auto& path : out_paths) {
-    std::string text;
-    if (!tools::read_file(path, &text)) {
-      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
-      return 1;
+  const auto run = tools::run_shards(shards, "audit", [&](int w, const std::string& out) {
+    std::vector<std::string> argv{tools::self_exe(), "--shard-worker", std::to_string(w),
+                                  "--shards", std::to_string(shards), "--shard-out", out};
+    if (skip_studies) argv.emplace_back("--skip-studies");
+    if (!only.empty()) argv.insert(argv.end(), {"--scenario", only});
+    return argv;
+  });
+  for (const int w : run.failed) {
+    const auto range = core::shard_range(units.size(), shards, w);
+    std::string names;
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      names += " " + std::string(units[i]->name);
     }
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      const std::size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) break;
-      sharded.push_back(text.substr(pos, eol - pos));
-      pos = eol + 1;
-    }
-    std::remove(path.c_str());
+    std::fprintf(stderr, "worker %d of %d owned:%s\n", w, shards,
+                 names.empty() ? " no scenarios" : names.c_str());
   }
-  if (sharded.size() != registry.size()) {
+  if (!run.failed.empty()) return 1;
+  std::vector<std::string> sharded;
+  for (const auto& text : run.outputs) {
+    std::istringstream in{text};
+    for (std::string line; std::getline(in, line);) sharded.push_back(line);
+  }
+  if (sharded.size() != units.size()) {
     std::fprintf(stderr, "sharded run produced %zu of %zu scenarios\n",
-                 sharded.size(), registry.size());
+                 sharded.size(), units.size());
     return 1;
   }
 
   std::printf("comparing in-process run vs %d worker processes\n", shards);
   stats::Table report{{"scenario", "in-process", "sharded", "verdict"}};
   int failures = 0;
-  for (std::size_t i = 0; i < registry.size(); ++i) {
+  for (std::size_t i = 0; i < units.size(); ++i) {
     const bool ok = local[i] == sharded[i];
     if (!ok) ++failures;
-    report.add_row({std::string(registry[i].name),
+    report.add_row({std::string(units[i]->name),
                     local[i].substr(local[i].find(' ') + 1),
                     sharded[i].substr(sharded[i].find(' ') + 1),
                     ok ? "deterministic" : "DIVERGED"});
   }
   std::fputs(report.render().c_str(), stdout);
-  std::printf("merged %016llx (in-process) vs %016llx (%d shards)\n",
-              static_cast<unsigned long long>(core::merge_fingerprint(local)),
-              static_cast<unsigned long long>(core::merge_fingerprint(sharded)),
-              shards);
+  std::printf("merged %s (in-process) vs %s (%d shards)\n",
+              hex16(core::merge_fingerprint(local)).c_str(),
+              hex16(core::merge_fingerprint(sharded)).c_str(), shards);
   if (failures > 0) {
     std::fprintf(stderr, "\n%d scenario(s) diverged across the process boundary\n",
                  failures);
@@ -209,17 +210,24 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!only.empty() && core::find_scenario(only) == nullptr) {
+    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", only.c_str());
+    return 2;
+  }
+  const auto units = audit_units(only);
   if (shard_worker >= 0) {
     if (shards < 1 || shard_worker >= shards || shard_out.empty()) {
       std::fprintf(stderr, "--shard-worker needs --shards and --shard-out\n");
       return 2;
     }
-    return run_shard_worker(shards, shard_worker, shard_out, skip_studies);
+    return run_shard_worker(units, shards, shard_worker, shard_out, skip_studies);
   }
-  if (shards > 0) return run_sharded_audit(shards, skip_studies);
-  if (!only.empty() && core::find_scenario(only) == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", only.c_str());
-    return 2;
+  if (shards > 0) {
+    if (compare_threads > 0 || !dump_dir.empty()) {
+      std::fprintf(stderr, "--shards does not combine with --compare-threads or --dump\n");
+      return 2;
+    }
+    return run_sharded_audit(units, shards, skip_studies, only);
   }
 
   if (compare_threads > 0) {
@@ -227,33 +235,28 @@ int main(int argc, char** argv) {
   }
   stats::Table report{{"scenario", "studies", "run 1", "run 2", "verdict"}};
   int failures = 0;
-  for (const auto& s : core::scenario_registry()) {
-    if (!only.empty() && s.name != only) continue;
+  for (const auto* unit : units) {
+    const auto& s = *unit;
     const auto options = options_for(s, skip_studies);
     const auto config = s.config();
     if (compare_threads > 0) exec::set_thread_count(1);
     const auto tables1 = core::render_result_tables(config, options);
     if (compare_threads > 0) exec::set_thread_count(compare_threads);
     const auto tables2 = core::render_result_tables(config, options);
-    const auto hash1 = core::fnv1a64(tables1);
-    const auto hash2 = core::fnv1a64(tables2);
     const bool ok = tables1 == tables2;
     if (!ok) ++failures;
     if (!dump_dir.empty()) {
       dump(dump_dir, s.name, 1, tables1);
       dump(dump_dir, s.name, 2, tables2);
     }
-    char h1[17];
-    char h2[17];
-    std::snprintf(h1, sizeof h1, "%016llx", static_cast<unsigned long long>(hash1));
-    std::snprintf(h2, sizeof h2, "%016llx", static_cast<unsigned long long>(hash2));
     const char* studies =
         s.serving
             ? "serving"
             : (s.churn ? "churn"
                        : (s.topology_only ? "topo"
                                           : (options.run_studies ? "yes" : "no")));
-    report.add_row({std::string(s.name), studies, h1, h2,
+    report.add_row({std::string(s.name), studies, hex16(core::fnv1a64(tables1)),
+                    hex16(core::fnv1a64(tables2)),
                     ok ? "deterministic" : "DIVERGED"});
   }
   std::fputs(report.render().c_str(), stdout);
