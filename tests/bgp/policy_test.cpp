@@ -75,6 +75,23 @@ TEST_F(PolicyCompareTest, AsnBreaksFullTies) {
   EXPECT_FALSE(egress_preferred(g_, high, LinkKind::Transit, low, LinkKind::Transit));
 }
 
+TEST(PolicyTieBreak, DuplicateAsnBreaksOnIndex) {
+  // AsGraph accepts duplicate ASNs (they repeat in generated worlds from 72x
+  // up). Two candidates tied on (rank, length, ASN) must still be ordered,
+  // by AS index, or an unstable sort decides the BGP route.
+  topo::AsGraph g;
+  const topo::AsIndex lo = g.add_as(Asn{500}, topo::AsClass::Eyeball, "Lo", {0});
+  const topo::AsIndex hi = g.add_as(Asn{500}, topo::AsClass::Eyeball, "Hi", {0});
+  CandidateRoute a;
+  a.neighbor = lo;
+  a.neighbor_role = NeighborRole::Peer;
+  a.length = 2;
+  CandidateRoute b = a;
+  b.neighbor = hi;
+  EXPECT_TRUE(egress_preferred(g, a, LinkKind::PublicPeering, b, LinkKind::PublicPeering));
+  EXPECT_FALSE(egress_preferred(g, b, LinkKind::PublicPeering, a, LinkKind::PublicPeering));
+}
+
 TEST_F(PolicyCompareTest, StrictWeakOrderingIrreflexive) {
   const auto c = make(a_, NeighborRole::Peer, 2);
   EXPECT_FALSE(egress_preferred(g_, c, LinkKind::PublicPeering, c,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "bgpcmp/bgp/policy.h"
 #include "bgpcmp/bgp/propagation.h"
 #include "../testutil.h"
@@ -87,6 +90,36 @@ TEST_F(EdgeFabricTest, DistinctOptionsYieldDistinctFirstHops) {
     if (path.valid()) first_links.insert(path.crossed_links.front());
   }
   EXPECT_EQ(first_links.size(), options_.size());
+}
+
+TEST(EdgeFabricTieBreak, DuplicateAsnPeersRankByIndex) {
+  // More than 16 options tied on (rank, length, ASN): libstdc++ sorts ranges
+  // of at most 16 by insertion, which keeps input order and would hide an
+  // incomplete comparator. The ranking must come out in AS-index order
+  // whatever order the options arrive in.
+  constexpr std::size_t kPeers = 24;
+  topo::AsGraph g;
+  std::vector<EgressOption> options;
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    EgressOption opt;
+    opt.route.neighbor =
+        g.add_as(Asn{500}, topo::AsClass::Eyeball, "P" + std::to_string(i), {0});
+    opt.route.neighbor_role = topo::NeighborRole::Peer;
+    opt.route.neighbor_class = bgp::RouteClass::Customer;
+    opt.route.length = 2;
+    opt.kind = topo::LinkKind::PrivatePeering;
+    options.push_back(opt);
+  }
+  for (const bool reversed : {false, true}) {
+    auto input = options;
+    if (reversed) std::reverse(input.begin(), input.end());
+    const auto ranked = edge_fabric::rank_by_policy(g, input);
+    ASSERT_EQ(ranked.size(), kPeers);
+    for (std::size_t i = 0; i < kPeers; ++i) {
+      EXPECT_EQ(ranked[i].route.neighbor, static_cast<topo::AsIndex>(i))
+          << "reversed " << reversed << " rank " << i;
+    }
+  }
 }
 
 }  // namespace
