@@ -18,9 +18,11 @@ using topo::LinkKind;
 /// Egress class rank under the provider's BGP policy; smaller is preferred.
 [[nodiscard]] int egress_rank(topo::NeighborRole role, LinkKind kind);
 
-/// Strict-weak-order comparator over candidates at a PoP. `kind_a/kind_b` are
-/// the best link kinds available for each candidate at that PoP (a candidate
-/// edge may have both a PNI and a public session; the PNI wins).
+/// Strict-weak-order comparator over candidates at a PoP: egress rank, then
+/// AS-path length, then neighbor (ASN, AS index), so distinct neighbors never
+/// tie. `kind_a/kind_b` are the best link kinds available for each candidate
+/// at that PoP (a candidate edge may have both a PNI and a public session; the
+/// PNI wins).
 [[nodiscard]] bool egress_preferred(const AsGraph& graph, const CandidateRoute& a,
                                     LinkKind kind_a, const CandidateRoute& b,
                                     LinkKind kind_b);

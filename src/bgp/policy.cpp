@@ -14,7 +14,12 @@ bool egress_preferred(const AsGraph& graph, const CandidateRoute& a, LinkKind ki
   const int rb = egress_rank(b.neighbor_role, kind_b);
   if (ra != rb) return ra < rb;
   if (a.length != b.length) return a.length < b.length;
-  return graph.node(a.neighbor).asn < graph.node(b.neighbor).asn;
+  // (ASN, AS index), the order detail::better and candidate_routes_at use:
+  // ASNs repeat in large generated worlds, and an ASN-only tie would leave
+  // the ranking to std::sort's internals.
+  const Asn x = graph.node(a.neighbor).asn;
+  const Asn y = graph.node(b.neighbor).asn;
+  return x != y ? x < y : a.neighbor < b.neighbor;
 }
 
 }  // namespace bgpcmp::bgp
