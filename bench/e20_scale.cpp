@@ -13,8 +13,8 @@
 //                      by chunk_origins, not by the client population.
 //   BM_StudyWindowEager   the same window through the eager run_pop_study
 //                      on a full Scenario — the resident-memory baseline
-//                      the streaming path exists to beat (its RouteCache
-//                      holds a warmed table for every client origin).
+//                      the streaming path exists to beat (it holds the
+//                      whole client base and every pair's series).
 //   BM_ShardedRun      the end-to-end multi-process run: two forked
 //                      workers (tools::run_shards, the harness `bgpcmp
 //                      shard` uses) each build the world, run their block
@@ -130,7 +130,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
-// One study window, streaming: per-chunk RouteCache and client window only.
+// One study window, streaming: per-chunk client window, plans and series only.
 // The reported peak includes the resident world (build happens in this
 // process) — the honest comparator, since the eager study holds it too.
 void BM_StudyWindowStream(benchmark::State& state) {
@@ -145,9 +145,9 @@ void BM_StudyWindowStream(benchmark::State& state) {
 BENCHMARK(BM_StudyWindowStream)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // The same window through the eager study: whole client base, demand model,
-// and a warmed route table per origin resident at once. Its RSS grows with
-// origins x as_count (~scale^2) where the streaming path grows with the
-// world (~scale) — that gap is the headline of BENCH_scale.json.
+// and every pair's plan and series resident at once. BENCH_scale.json's
+// numbers predate bgp::adj_rib_in, when this study also held a warmed route
+// table per origin and its RSS grew with origins x as_count (~scale^2).
 void BM_StudyWindowEager(benchmark::State& state) {
   static std::int64_t cached = -1;
   static std::unique_ptr<core::Scenario> scenario;

@@ -20,6 +20,7 @@
 #include "bgpcmp/stats/cdf.h"
 #include "bgpcmp/stats/quantile.h"
 #include "bgpcmp/topology/world_cache.h"
+#include "bgpcmp/traffic/client_stream.h"
 
 namespace {
 
@@ -172,6 +173,26 @@ void BM_CandidateRoutes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateRoutes)->Arg(1)->Arg(30)->Unit(benchmark::kMicrosecond);
+
+// What the Fig 1 studies compute per client origin: the provider's
+// Adj-RIB-in from the origin's dependency closure, cycling over one
+// streaming chunk's origins (the first 256). Compare with one
+// BM_RoutePropagation plus one BM_CandidateRoutes, the table-and-walk it
+// replaces.
+void BM_AdjRibIn(benchmark::State& state) {
+  const auto& sc = scaled_world(state.range(0));
+  const traffic::ClientStream stream{&sc.internet, sc.config.clients, 256};
+  const auto origins = stream.chunk_origin_ases(0);
+  (void)sc.internet.graph.edge_index();  // exclude the one-time CSR build
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto rib = bgp::adj_rib_in(sc.internet.graph,
+                               bgp::OriginSpec::everywhere(origins[i++ % origins.size()]),
+                               sc.provider.as_index());
+    benchmark::DoNotOptimize(rib.data());
+  }
+}
+BENCHMARK(BM_AdjRibIn)->Arg(1)->Arg(30)->Unit(benchmark::kMicrosecond);
 
 // RouteTable::path on the serving hot path: every query materializes an AS
 // path, so the walk should cost one allocation (the stored route length

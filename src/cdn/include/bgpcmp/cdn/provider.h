@@ -109,10 +109,17 @@ class ContentProvider {
                                   const topo::CityDb& cities,
                                   topo::AsIndex client_as, CityId client_city) const;
 
-  /// Egress options at a PoP toward the route table's origin: every candidate
-  /// route whose session has a link landed at this PoP. A candidate with both
-  /// a PNI and a public session at the PoP contributes its best (private)
-  /// link only.
+  /// Egress options at a PoP from the provider's Adj-RIB-in toward one
+  /// origin (`rib`: the candidates the provider AS hears, as bgp::adj_rib_in
+  /// or bgp::candidate_routes_at return them): every candidate route whose
+  /// session has a link landed at this PoP, in `rib` order. A candidate with
+  /// both a PNI and a public session at the PoP contributes its best
+  /// (private) link only.
+  [[nodiscard]] std::vector<EgressOption> egress_options(
+      const topo::AsGraph& graph, std::span<const bgp::CandidateRoute> rib,
+      PopId pop) const;
+
+  /// Same, reading the provider's candidates off a full route table.
   [[nodiscard]] std::vector<EgressOption> egress_options(
       const topo::AsGraph& graph, const bgp::RouteTable& table, PopId pop) const;
 

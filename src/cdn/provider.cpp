@@ -238,11 +238,16 @@ PopId ContentProvider::serving_pop(const topo::AsGraph& graph,
 }
 
 std::vector<EgressOption> ContentProvider::egress_options(
-    const topo::AsGraph& graph, const bgp::RouteTable& table, PopId pop_id) const {
+    const topo::AsGraph& graph, const bgp::RouteTable& table, PopId pop) const {
+  return egress_options(graph, bgp::candidate_routes_at(graph, table, as_), pop);
+}
+
+std::vector<EgressOption> ContentProvider::egress_options(
+    const topo::AsGraph& graph, std::span<const bgp::CandidateRoute> rib,
+    PopId pop_id) const {
   const Pop& pop = pops_.at(pop_id);
   std::vector<EgressOption> out;
-  for (const bgp::CandidateRoute& cand :
-       bgp::candidate_routes_at(graph, table, as_)) {
+  for (const bgp::CandidateRoute& cand : rib) {
     // Best link of this candidate's session landed at the PoP.
     LinkId best_link = topo::kNoLink;
     LinkKind best_kind = LinkKind::Transit;

@@ -6,8 +6,10 @@
 // test (tests/core/scale_study_test.cpp) pins them against each other.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/bgp/route.h"
 #include "bgpcmp/cdn/provider.h"
 #include "bgpcmp/core/study_pop.h"
@@ -30,15 +32,36 @@ struct PairPlan {
 };
 
 /// Plan one pair: pick the serving PoP, rank the egress routes by BGP policy,
-/// realize top-k paths. Reads only immutable world state plus the origin's
-/// route table, so planning fans out over any axis (pairs, chunks, shards).
-/// Pairs with fewer than two usable routes come back with routes cleared.
+/// realize top-k paths. Reads only immutable world state plus `rib`, the
+/// routes the provider AS hears toward the client's origin
+/// (bgp::adj_rib_in), so planning fans out over any axis (pairs, chunks,
+/// shards). Pairs with fewer than two usable routes come back with routes
+/// cleared.
+[[nodiscard]] PairPlan plan_pop_pair(const topo::AsGraph& graph,
+                                     const topo::CityDb& db,
+                                     const cdn::ContentProvider& provider,
+                                     const traffic::ClientPrefix& client,
+                                     traffic::PrefixId prefix,
+                                     std::span<const bgp::CandidateRoute> rib, int top_k);
+
+/// Same, reading the provider's routes off the origin's full route table.
 [[nodiscard]] PairPlan plan_pop_pair(const topo::AsGraph& graph,
                                      const topo::CityDb& db,
                                      const cdn::ContentProvider& provider,
                                      const traffic::ClientPrefix& client,
                                      traffic::PrefixId prefix,
                                      const bgp::RouteTable& table, int top_k);
+
+/// Plan every prefix of a client window (`clients[i]` has global id
+/// `first_prefix + i`) and keep the measurable plans, in prefix order. Each
+/// run of prefixes sharing an origin AS is one work item of the global pool:
+/// it computes the provider's Adj-RIB-in toward that origin once and plans
+/// the run's prefixes from it. The client generators emit each origin's
+/// prefixes contiguously, so that is one RIB per origin.
+[[nodiscard]] std::vector<PairPlan> plan_pop_pairs(
+    const topo::AsGraph& graph, const topo::CityDb& db,
+    const cdn::ContentProvider& provider, std::span<const traffic::ClientPrefix> clients,
+    traffic::PrefixId first_prefix, int top_k);
 
 /// Measure one planned pair across the windows: spray sampled sessions over
 /// every route, keep per-window medians and the bootstrap CI of

@@ -1,19 +1,20 @@
 // Streaming Study 1 for worlds too large to materialize eagerly.
 //
-// run_pop_study holds the whole client base, the demand model, and a route
-// table for every client origin resident at once; at 100x AS counts the
-// warmed RouteCache alone is tens of gigabytes. The scale path replaces the
-// resident world with bounded windows over it:
+// run_pop_study holds the whole client base, the demand model, and every
+// pair's plan and series resident at once; at 100x AS counts that is
+// millions of prefixes. The scale path replaces the resident world with
+// bounded windows over it:
 //
 //   * ScaleWorld is a Scenario minus the client/demand materializations —
 //     just the internet, the attached provider, and the congestion/latency
 //     fields (whose memory is world-sized, not client-sized).
 //
 //   * run_scale_study streams the client population chunk by chunk
-//     (traffic::ClientStream): each chunk warms a fresh RouteCache over only
-//     its origins, plans and measures its pairs with the exact code the eager
-//     study runs (core/pop_pair.h), folds the pair series into Fig-1 points
-//     plus a per-chunk digest, and drops everything before the next chunk.
+//     (traffic::ClientStream): each chunk plans and measures its pairs with
+//     the exact code the eager study runs (core/pop_pair.h: one provider
+//     Adj-RIB-in per origin, no route table), folds the pair series into
+//     Fig-1 points plus a per-chunk digest, and drops everything before the
+//     next chunk.
 //     Peak memory is bounded by the chunk size knob while results stay
 //     bit-identical to the eager study on the same world
 //     (tests/core/scale_study_test.cpp pins fig1 quantiles and the
@@ -68,7 +69,7 @@ class ScaleWorld {
 
 struct ScaleStudyConfig {
   PopStudyConfig study;  ///< same knobs (and draws) as the eager study
-  /// Origins per chunk: bounds the per-chunk RouteCache and client window.
+  /// Origins per chunk: bounds the chunk's client window, plans and series.
   std::size_t chunk_origins = 256;
 };
 
@@ -100,8 +101,9 @@ struct ScaleStudyResult {
   [[nodiscard]] std::size_t pair_count() const;
 };
 
-/// Run one chunk: warm a RouteCache over the chunk's origins, plan and
-/// measure its pairs, fold the series into fig1 points and a digest. The
+/// Run one chunk: plan its pairs from one provider Adj-RIB-in per origin
+/// (plan_pop_pairs), measure them, fold the series into fig1 points and a
+/// digest. The
 /// demand cursor must sit at the chunk's first prefix (skip() to it); it is
 /// left at the chunk's end. Pure in (world, config, windows, chunk) — chunk
 /// order, process boundaries, and thread width never change the bytes —

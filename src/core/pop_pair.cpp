@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bgpcmp/cdn/edge_fabric.h"
+#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/netbase/check.h"
 #include "bgpcmp/stats/quantile.h"
 #include "bgpcmp/traffic/demand.h"
@@ -24,9 +25,17 @@ PairPlan plan_pop_pair(const topo::AsGraph& graph, const topo::CityDb& db,
                        const cdn::ContentProvider& provider,
                        const traffic::ClientPrefix& client, traffic::PrefixId prefix,
                        const bgp::RouteTable& table, int top_k) {
+  return plan_pop_pair(graph, db, provider, client, prefix,
+                       bgp::candidate_routes_at(graph, table, provider.as_index()), top_k);
+}
+
+PairPlan plan_pop_pair(const topo::AsGraph& graph, const topo::CityDb& db,
+                       const cdn::ContentProvider& provider,
+                       const traffic::ClientPrefix& client, traffic::PrefixId prefix,
+                       std::span<const bgp::CandidateRoute> rib, int top_k) {
   const cdn::PopId pop = provider.serving_pop(graph, db, client.origin_as, client.city);
   auto options =
-      cdn::edge_fabric::rank_by_policy(graph, provider.egress_options(graph, table, pop));
+      cdn::edge_fabric::rank_by_policy(graph, provider.egress_options(graph, rib, pop));
   PairPlan plan;
   if (options.size() < 2) return plan;
   if (options.size() > static_cast<std::size_t>(top_k)) {
@@ -49,6 +58,39 @@ PairPlan plan_pop_pair(const topo::AsGraph& graph, const topo::CityDb& db,
   }
   if (plan.routes.size() < 2) plan.routes.clear();
   return plan;
+}
+
+std::vector<PairPlan> plan_pop_pairs(const topo::AsGraph& graph, const topo::CityDb& db,
+                                     const cdn::ContentProvider& provider,
+                                     std::span<const traffic::ClientPrefix> clients,
+                                     traffic::PrefixId first_prefix, int top_k) {
+  std::vector<std::size_t> run_starts;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    if (i == 0 || clients[i].origin_as != clients[i - 1].origin_as) run_starts.push_back(i);
+  }
+  run_starts.push_back(clients.size());
+  // Build the CSR index before the fan-out so workers share one snapshot
+  // instead of racing to construct it (as RouteCache::warm does).
+  (void)graph.edge_index();
+  auto planned = exec::parallel_map(run_starts.size() - 1, [&](std::size_t r) {
+    const std::size_t begin = run_starts[r];
+    const std::size_t end = run_starts[r + 1];
+    const auto rib = bgp::adj_rib_in(
+        graph, bgp::OriginSpec::everywhere(clients[begin].origin_as), provider.as_index());
+    std::vector<PairPlan> plans;
+    for (std::size_t i = begin; i < end; ++i) {
+      PairPlan plan = plan_pop_pair(graph, db, provider, clients[i],
+                                    first_prefix + static_cast<traffic::PrefixId>(i), rib,
+                                    top_k);
+      if (plan.measurable()) plans.push_back(std::move(plan));
+    }
+    return plans;
+  });
+  std::vector<PairPlan> plans;
+  for (auto& run : planned) {
+    for (auto& plan : run) plans.push_back(std::move(plan));
+  }
+  return plans;
 }
 
 PopPrefixSeries measure_pop_pair(const PairPlan& plan,

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "bgpcmp/bgp/route_cache.h"
 #include "bgpcmp/core/fingerprint.h"
 #include "bgpcmp/core/pop_pair.h"
 #include "bgpcmp/core/shard.h"
@@ -84,24 +83,13 @@ ScaleChunkResult run_scale_chunk(const ScaleWorld& world,
   const traffic::ClientChunk window = stream.chunk(chunk);
   const std::vector<double> popularity = demand.next(window);
 
-  // Warm a route cache over only this chunk's origins — the whole point:
-  // per-chunk table memory is bounded by chunk_origins, not the world.
-  bgp::RouteCache tables{&graph};
-  tables.warm(stream.chunk_origin_ases(chunk), exec::global_pool());
-
-  // Plan and measure with the code the eager study runs (pop_pair.h); per-AS
-  // route tables and per-pair RNG streams make every byte independent of
-  // which chunk — or process — computes the pair.
-  auto planned = exec::parallel_map(window.prefixes.size(), [&](std::size_t i) {
-    const auto& client = window.prefixes[i];
-    const bgp::RouteTable* table = tables.find(client.origin_as);
-    return plan_pop_pair(graph, db, world.provider, client, window.id(i), *table,
-                         config.study.top_k_routes);
-  });
-  std::vector<PairPlan> plans;
-  for (auto& plan : planned) {
-    if (plan.measurable()) plans.push_back(std::move(plan));
-  }
+  // Plan and measure with the code the eager study runs (pop_pair.h): one
+  // Adj-RIB-in per origin, read only by that origin's prefixes, and per-pair
+  // RNG streams make every byte independent of which chunk — or process —
+  // computes the pair.
+  const std::vector<PairPlan> plans = plan_pop_pairs(
+      graph, db, world.provider, window.prefixes, window.first_prefix,
+      config.study.top_k_routes);
 
   const lat::RttSampler sampler;
   const Rng root{config.study.seed};

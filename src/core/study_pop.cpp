@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bgpcmp/bgp/route_cache.h"
 #include "bgpcmp/core/pop_pair.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/rtt_sampler.h"
@@ -33,32 +32,13 @@ PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& con
   PopStudyResult result;
   result.windows = study_windows(config);
 
-  // Route tables per client origin AS (shared across that AS's prefixes):
-  // warm every distinct origin over the pool, then plan against the
-  // read-only cache — the warm-then-plan pattern from docs/PARALLELISM.md.
-  bgp::RouteCache tables{&graph};
-  std::vector<topo::AsIndex> origins;
-  origins.reserve(scenario.clients.size());
-  for (const auto& client : scenario.clients.prefixes()) {
-    origins.push_back(client.origin_as);
-  }
-  tables.warm(origins, exec::global_pool());
-
-  // Plan every <PoP, prefix> pair with at least two egress routes. Each pair
-  // reads only the immutable scenario and the warmed cache, so planning fans
-  // out too; under-routed pairs come back empty and are dropped in order.
-  // plan_pop_pair is shared with the streaming scale study (pop_pair.h).
-  auto planned = exec::parallel_map(scenario.clients.size(), [&](std::size_t id) {
-    const auto& client = scenario.clients.at(static_cast<traffic::PrefixId>(id));
-    const bgp::RouteTable* table = tables.find(client.origin_as);
-    return plan_pop_pair(graph, db, scenario.provider, client,
-                         static_cast<traffic::PrefixId>(id), *table,
-                         config.top_k_routes);
-  });
-  std::vector<PairPlan> plans;
-  for (auto& plan : planned) {
-    if (plan.measurable()) plans.push_back(std::move(plan));
-  }
+  // Plan every <PoP, prefix> pair with at least two egress routes, from one
+  // provider Adj-RIB-in per client origin AS (shared by that AS's prefixes).
+  // Each pair reads only the immutable scenario and its origin's RIB, so
+  // planning fans out over the pool; under-routed pairs are dropped in order.
+  // plan_pop_pairs is shared with the streaming scale study (pop_pair.h).
+  const std::vector<PairPlan> plans = plan_pop_pairs(
+      graph, db, scenario.provider, scenario.clients.prefixes(), 0, config.top_k_routes);
 
   // Measure: spray sessions over each route in every window. Plans are
   // independent by construction — each forks its own RNG stream keyed by

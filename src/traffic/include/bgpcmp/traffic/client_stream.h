@@ -55,8 +55,8 @@ struct ClientChunk {
 class ClientStream {
  public:
   /// `chunk_origins` bounds resident state: a chunk holds the prefixes of at
-  /// most that many origin ASes (the per-chunk RouteCache of a streaming
-  /// study is bounded by the same knob).
+  /// most that many origin ASes (and a streaming study computes at most that
+  /// many Adj-RIB-ins per chunk).
   ClientStream(const Internet* internet, const ClientBaseConfig& config,
                std::size_t chunk_origins = 256);
 
@@ -73,8 +73,8 @@ class ClientStream {
   BGPCMP_PURE_CHUNK
   [[nodiscard]] ClientChunk chunk(std::size_t c) const;
 
-  /// The origin ASes of chunk `c`, cheapest first-look for warming a
-  /// per-chunk RouteCache without generating the prefixes.
+  /// The origin ASes of chunk `c`, without generating the prefixes (what a
+  /// per-chunk route warm or RIB pass needs to know up front).
   [[nodiscard]] std::vector<AsIndex> chunk_origin_ases(std::size_t c) const;
 
   /// Global prefix-id range [first, first + count) of chunk `c`.

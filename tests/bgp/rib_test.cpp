@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/cdn/provider.h"
@@ -66,6 +69,86 @@ void expect_same_candidates(const std::vector<CandidateRoute>& got,
     EXPECT_EQ(got[i].length, want[i].length) << i;
     EXPECT_EQ(got[i].as_path, want[i].as_path) << i;
   }
+}
+
+bool same_candidates(const std::vector<CandidateRoute>& got,
+                     const std::vector<CandidateRoute>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const CandidateRoute& a = got[i];
+    const CandidateRoute& b = want[i];
+    if (a.neighbor != b.neighbor || a.edge != b.edge ||
+        a.neighbor_role != b.neighbor_role || a.neighbor_class != b.neighbor_class ||
+        a.length != b.length || a.as_path != b.as_path) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Differential of adj_rib_in against the reference propagation read through
+/// candidate_routes_at: counts (origin spec, viewer) cases whose candidate
+/// lists differ in any field, as_path included, and names the first one.
+struct AdjRibInDiff {
+  std::size_t cases = 0;
+  std::size_t heard = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+
+  void check(const topo::AsGraph& g, const OriginSpec& spec,
+             std::span<const topo::AsIndex> viewers, const std::string& what) {
+    const RouteTable table = compute_routes_reference(g, spec);
+    for (const topo::AsIndex viewer : viewers) {
+      const auto got = adj_rib_in(g, spec, viewer);
+      const auto want = candidate_routes_at(g, table, spec, viewer);
+      ++cases;
+      heard += want.size();
+      if (same_candidates(got, want)) continue;
+      if (mismatches++ == 0) {
+        std::ostringstream os;
+        os << what << ": origin " << spec.origin << " viewer " << viewer << " got "
+           << got.size() << " candidates, want " << want.size();
+        first = os.str();
+      }
+    }
+  }
+};
+
+/// The four origin specs the differential covers: announced everywhere;
+/// scoped to one session; one transit and one peer session suppressed; every
+/// session prepended 9 and one 60. Sessions are picked from the origin's own
+/// edges (its first provider edge where it has one).
+std::vector<std::pair<std::string, OriginSpec>> spec_variants(const topo::AsGraph& g,
+                                                              topo::AsIndex o) {
+  std::vector<std::pair<std::string, OriginSpec>> specs;
+  specs.emplace_back("everywhere", OriginSpec::everywhere(o));
+  const topo::EdgeIndex& idx = g.edge_index();
+  const auto edges = idx.edges_of(o);
+  if (edges.empty()) return specs;
+  const auto up = idx.up_edges(o);
+  const auto peers = idx.peer_edges(o);
+  const topo::EdgeId first = up.empty() ? edges.front() : up.front();
+  const topo::EdgeId last = up.empty() ? edges.back() : up.back();
+  specs.emplace_back("scoped", OriginSpec::scoped(o, g.edge(first).links));
+  OriginSpec suppressed = OriginSpec::everywhere(o);
+  suppressed.suppress.insert(first);
+  if (!peers.empty()) suppressed.suppress.insert(peers.front());
+  specs.emplace_back("suppressed", suppressed);
+  OriginSpec prepended = OriginSpec::everywhere(o);
+  for (const topo::EdgeId e : edges) prepended.prepend[e] = 9;
+  prepended.prepend[last] = 60;
+  specs.emplace_back("prepended", prepended);
+  return specs;
+}
+
+/// Every origin of `g` under every spec variant, at each viewer.
+AdjRibInDiff adj_rib_in_over_every_origin(const topo::AsGraph& g,
+                                          std::span<const topo::AsIndex> viewers) {
+  AdjRibInDiff diff;
+  for (topo::AsIndex o = 0; o < g.as_count(); ++o) {
+    for (const auto& [what, spec] : spec_variants(g, o)) diff.check(g, spec, viewers, what);
+  }
+  return diff;
 }
 
 /// Content provider CP multihomed to T1a+T1b (transit), peering with TRa and
@@ -195,6 +278,64 @@ TEST_F(RibTest, ScopedOriginFiltersDirectCandidate) {
   EXPECT_FALSE(candidates.empty());
 }
 
+TEST_F(RibTest, AdjRibInViewerAdjacentToOrigin) {
+  // CP has a PNI with EBa: the direct Origin candidate, and all four routes
+  // of AllExportingNeighborsAppear. Scoped to the TRa session, the direct
+  // candidate goes and the rest stays.
+  const OriginSpec everywhere = OriginSpec::everywhere(eba_);
+  const auto all = adj_rib_in(g_, everywhere, cp_);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_TRUE(std::any_of(all.begin(), all.end(), [&](const CandidateRoute& c) {
+    return c.neighbor == eba_ && c.neighbor_class == RouteClass::Origin;
+  }));
+  EXPECT_TRUE(same_candidates(all, candidate_routes_at(g_, compute_routes(g_, everywhere),
+                                                       everywhere, cp_)));
+  const auto eba_tra = g_.find_edge(tra_, eba_);
+  ASSERT_TRUE(eba_tra);
+  const OriginSpec scoped = OriginSpec::scoped(eba_, g_.edge(*eba_tra).links);
+  const auto some = adj_rib_in(g_, scoped, cp_);
+  EXPECT_EQ(some.size(), 3u);
+  for (const auto& c : some) EXPECT_NE(c.neighbor, eba_);
+  EXPECT_TRUE(
+      same_candidates(some, candidate_routes_at(g_, compute_routes(g_, scoped), scoped, cp_)));
+}
+
+TEST_F(RibTest, AdjRibInViewerInsideOriginCone) {
+  // TRa is EBa's provider, so it sits in EBa's up-cone. Its provider T1a
+  // selects the customer route through TRa: split horizon drops it, and TRa
+  // hears only EBa itself.
+  const OriginSpec spec = OriginSpec::everywhere(eba_);
+  const auto heard = adj_rib_in(g_, spec, tra_);
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard.front().neighbor, eba_);
+  EXPECT_TRUE(
+      same_candidates(heard, candidate_routes_at(g_, compute_routes(g_, spec), spec, tra_)));
+}
+
+TEST_F(RibTest, AdjRibInViewerWithNoRoute) {
+  // Suppressed on every session, EBa's prefix reaches no one; and the origin
+  // never hears its own prefix.
+  OriginSpec silent = OriginSpec::everywhere(eba_);
+  for (const topo::EdgeId e : g_.edges_of(eba_)) silent.suppress.insert(e);
+  for (const topo::AsIndex viewer : {t1a_, t1b_, tra_, cp_, eba_}) {
+    EXPECT_TRUE(adj_rib_in(g_, silent, viewer).empty()) << viewer;
+  }
+  EXPECT_TRUE(adj_rib_in(g_, OriginSpec::everywhere(eba_), eba_).empty());
+}
+
+TEST_F(RibTest, AdjRibInOriginWithoutProvider) {
+  // T1a has no provider: its prefix has an empty up-cone, so every route is
+  // a direct session, a peer hop or a provider pull.
+  const OriginSpec spec = OriginSpec::everywhere(t1a_);
+  const RouteTable table = compute_routes(g_, spec);
+  for (const topo::AsIndex viewer : {t1b_, tra_, eba_, cp_}) {
+    const auto heard = adj_rib_in(g_, spec, viewer);
+    EXPECT_FALSE(heard.empty()) << viewer;
+    EXPECT_TRUE(same_candidates(heard, candidate_routes_at(g_, table, spec, viewer)))
+        << viewer;
+  }
+}
+
 TEST_F(RibTest, RouteDiversityOnGeneratedInternet) {
   // The paper: "the PoP serving the client has at least three routes" for
   // most clients. Verify the content provider in a generated world hears
@@ -258,6 +399,79 @@ TEST(RibDifferential, MatchesLegacyWalkUnderScopedOrigin) {
     ++checked;
   }
   EXPECT_GT(checked, 3);
+}
+
+TEST(RibDifferential, AdjRibInMatchesReferenceOnDuplicateAsnGraphs) {
+  // PropagationTieBreak's graph: A and B share ASN 500 under T, so T hears
+  // two candidates with one ASN and the (ASN, index) order decides. A second
+  // copy hangs a viewer V under both A and B and gives it a peer with ASN
+  // 500 too.
+  topo::AsGraph g;
+  const topo::AsIndex o = g.add_as(Asn{700}, AsClass::Eyeball, "O", {0});
+  const topo::AsIndex a = g.add_as(Asn{500}, AsClass::Transit, "A", {0});
+  const topo::AsIndex b = g.add_as(Asn{500}, AsClass::Transit, "B", {0});
+  const topo::AsIndex t = g.add_as(Asn{100}, AsClass::Tier1, "T", {0});
+  g.connect_transit(b, o);
+  g.connect_transit(a, o);
+  g.connect_transit(t, a);
+  g.connect_transit(t, b);
+  AdjRibInDiff diff;
+  std::vector<topo::AsIndex> viewers(g.as_count());
+  for (topo::AsIndex i = 0; i < g.as_count(); ++i) viewers[i] = i;
+  for (topo::AsIndex origin = 0; origin < g.as_count(); ++origin) {
+    for (const auto& [what, spec] : spec_variants(g, origin)) diff.check(g, spec, viewers, what);
+  }
+  const auto at_t = adj_rib_in(g, OriginSpec::everywhere(o), t);
+  ASSERT_EQ(at_t.size(), 2u);
+  EXPECT_EQ(at_t[0].neighbor, a);
+  EXPECT_EQ(at_t[1].neighbor, b);
+
+  const topo::AsIndex v = g.add_as(Asn{800}, AsClass::Eyeball, "V", {0});
+  const topo::AsIndex p = g.add_as(Asn{500}, AsClass::Eyeball, "P", {0});
+  g.connect_transit(a, v);
+  g.connect_transit(b, v);
+  g.connect_peering(v, p);
+  g.connect_transit(p, o);
+  viewers.push_back(v);
+  viewers.push_back(p);
+  for (topo::AsIndex origin = 0; origin < g.as_count(); ++origin) {
+    for (const auto& [what, spec] : spec_variants(g, origin)) diff.check(g, spec, viewers, what);
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << diff.first;
+  EXPECT_GT(diff.heard, diff.cases / 2);
+}
+
+/// The three viewers of the generated-world differentials: the provider AS
+/// (transit plus many peers), a Tier-1 (no provider) and an eyeball (deep in
+/// the hierarchy, so its ancestors need peer and provider routes).
+std::vector<topo::AsIndex> generated_viewers(const topo::Internet& net,
+                                             const cdn::ContentProvider& provider) {
+  return {provider.as_index(), net.tier1s.front(), net.eyeballs.front()};
+}
+
+TEST(RibDifferential, AdjRibInMatchesReferenceForEveryOriginAt1x) {
+  topo::Internet net = topo::build_internet(topo::InternetConfig{});
+  const auto provider = cdn::ContentProvider::attach(net, cdn::ProviderConfig{});
+  const auto viewers = generated_viewers(net, provider);
+  const AdjRibInDiff diff = adj_rib_in_over_every_origin(net.graph, viewers);
+  EXPECT_EQ(diff.mismatches, 0u) << diff.first;
+  EXPECT_EQ(diff.cases, 4 * 3 * net.graph.as_count());
+  EXPECT_GT(diff.heard, diff.cases);
+}
+
+TEST(RibDifferential, AdjRibInMatchesReferenceForEveryOriginAt4x) {
+  topo::InternetConfig cfg;
+  cfg.tier1_count *= 4;
+  cfg.transit_count *= 4;
+  cfg.eyeball_count *= 4;
+  cfg.stub_count *= 4;
+  topo::Internet net = topo::build_internet(cfg);
+  const auto provider = cdn::ContentProvider::attach(net, cdn::ProviderConfig{});
+  const auto viewers = generated_viewers(net, provider);
+  const AdjRibInDiff diff = adj_rib_in_over_every_origin(net.graph, viewers);
+  EXPECT_EQ(diff.mismatches, 0u) << diff.first;
+  EXPECT_EQ(diff.cases, 4 * 3 * net.graph.as_count());
+  EXPECT_GT(diff.heard, diff.cases);
 }
 
 }  // namespace
