@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "bgpcmp/traffic/client_stream.h"
+
 namespace bgpcmp::traffic {
 
 namespace {
@@ -10,17 +12,10 @@ constexpr double kTwoPi = 6.28318530717958647692;
 
 DemandModel::DemandModel(const ClientBase* clients, const topo::CityDb* cities,
                          const DemandConfig& config)
-    : clients_(clients), cities_(cities), config_(config) {
-  Rng rng = Rng{config.seed}.fork("popularity");
-  popularity_.reserve(clients_->size());
-  for (std::size_t i = 0; i < clients_->size(); ++i) {
-    // User weight modulated by a heavy-tailed per-prefix factor: big metros
-    // still dominate, but some small prefixes are disproportionately hot.
-    const double skew = rng.pareto(1.0, 1.0 / config.zipf_exponent);
-    popularity_.push_back(clients_->at(static_cast<PrefixId>(i)).user_weight *
-                          std::min(skew, 50.0));
-  }
-}
+    : clients_(clients),
+      cities_(cities),
+      config_(config),
+      popularity_(DemandStream{config}.next(0, clients->prefixes())) {}
 
 double DemandModel::popularity(PrefixId prefix) const {
   return popularity_.at(prefix);

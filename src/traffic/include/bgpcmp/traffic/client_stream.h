@@ -1,26 +1,27 @@
-// Streaming client/demand generation for worlds too large to materialize.
+// The client/demand generator, chunked so worlds too large to materialize
+// can still be studied.
 //
-// ClientBase::generate holds every client prefix of the world resident; at
-// 100x AS counts that is hundreds of thousands of prefixes per study and the
-// per-window memory of a study scales with the world. The streaming layer
-// replaces the eager materialization with a chunked, deterministic generator:
+// At 100x AS counts the client population is hundreds of thousands of
+// prefixes per study, and a study that holds it resident scales its memory
+// with the world. This layer is the one generator of that population; it
+// yields it in bounded windows:
 //
-//   * ClientStream partitions the eager generation order (eyeballs, then
-//     stubs) into fixed-size origin chunks. Each origin's prefixes are drawn
-//     from Rng::fork("clients-<as>") exactly like the eager path, and prefix
-//     ids come from a precomputed prefix-sum over deterministic per-origin
-//     counts — so any chunk can be generated in isolation (any order, any
-//     process) and the concatenation of all chunks is byte-identical to
-//     ClientBase::generate. tests/traffic/client_stream_test.cpp pins the
-//     golden digests at 1x and 4x.
+//   * ClientStream partitions the generation order (eyeballs, then stubs)
+//     into fixed-size origin chunks. Each origin's prefixes are drawn from
+//     Rng::fork("clients-<as>"), and prefix ids come from a precomputed
+//     prefix-sum over deterministic per-origin counts, so any chunk can be
+//     generated in isolation (any order, any process) and the concatenation
+//     of all chunks is the same population for every chunk size.
+//     ClientBase::generate is one whole-population chunk.
+//     tests/traffic/client_stream_test.cpp pins the bytes at 1x and 4x.
 //
-//   * DemandStream replays DemandModel's per-prefix popularity draws as a
-//     sequential cursor: the draws come from one serial Rng stream, so the
-//     cursor carries the engine forward and holds only the current chunk's
-//     values. skip() advances over prefixes another shard owns by drawing and
-//     discarding — O(prefixes) time, O(1) memory — which is what lets a
-//     multi-process shard start mid-stream and still reproduce the eager
-//     popularity bytes.
+//   * DemandStream draws the per-prefix popularities as a sequential cursor:
+//     the draws come from one serial Rng stream, so the cursor carries the
+//     engine forward and holds only the current chunk's values. skip()
+//     advances over prefixes another shard owns by drawing and discarding —
+//     O(prefixes) time, O(1) memory — which is what lets a multi-process
+//     shard start mid-stream and still reproduce every popularity byte.
+//     DemandModel is one whole-population draw.
 //
 // Studies consume both through bounded windows (core/scale_study.h): per-chunk
 // memory stays flat while client counts reach millions.
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgpcmp/netbase/thread_annotations.h"
@@ -49,18 +51,19 @@ struct ClientChunk {
   }
 };
 
-/// Chunked generator over the eager client-generation order. Construction
-/// walks only the origin lists (no prefix is materialized); chunk() generates
-/// one bounded window at a time.
+/// Chunked generator over the client-generation order. Construction walks
+/// only the origin lists (no prefix is materialized); chunk() generates one
+/// bounded window at a time.
 class ClientStream {
  public:
   /// `chunk_origins` bounds resident state: a chunk holds the prefixes of at
   /// most that many origin ASes (and a streaming study computes at most that
-  /// many Adj-RIB-ins per chunk).
+  /// many Adj-RIB-ins per chunk). Any value up to SIZE_MAX is valid; 0 is
+  /// read as 1.
   ClientStream(const Internet* internet, const ClientBaseConfig& config,
                std::size_t chunk_origins = 256);
 
-  /// Total prefixes the full stream yields == ClientBase::generate().size().
+  /// Total prefixes the full stream yields.
   [[nodiscard]] std::size_t total_prefixes() const { return total_; }
   /// Origin ASes contributing prefixes (eyeballs + optionally stubs).
   [[nodiscard]] std::size_t origin_count() const { return origins_.size(); }
@@ -82,6 +85,9 @@ class ClientStream {
       std::size_t c) const;
 
  private:
+  /// Origin indices [begin, end) of chunk `c`.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> origin_range(std::size_t c) const;
+
   /// One origin's deterministic slice of the stream.
   struct OriginSpan {
     AsIndex as = topo::kNoAs;
@@ -92,14 +98,13 @@ class ClientStream {
   const Internet* internet_;
   ClientBaseConfig config_;
   std::size_t chunk_origins_;
-  std::vector<OriginSpan> origins_;  ///< eager order: eyeballs, then stubs
+  std::vector<OriginSpan> origins_;  ///< generation order: eyeballs, then stubs
   std::size_t total_ = 0;
 };
 
-/// Sequential cursor over DemandModel's per-prefix popularity stream. The
-/// eager model draws one heavy-tail factor per prefix from a single serial
-/// Rng; the cursor reproduces those draws exactly while holding only the
-/// requested window.
+/// Sequential cursor over the per-prefix popularity stream: one heavy-tail
+/// factor per prefix from a single serial Rng, holding only the requested
+/// window.
 class DemandStream {
  public:
   explicit DemandStream(const DemandConfig& config);
@@ -107,10 +112,13 @@ class DemandStream {
   /// Popularity of each prefix in `chunk`, advancing the cursor past them.
   /// The cursor must currently sit at chunk.first_prefix (skip() to it).
   [[nodiscard]] std::vector<double> next(const ClientChunk& chunk);
+  /// Same, for `prefixes` whose first global id is `first_prefix`.
+  [[nodiscard]] std::vector<double> next(PrefixId first_prefix,
+                                         std::span<const ClientPrefix> prefixes);
 
   /// Advance the cursor over `n` prefixes without keeping their values:
   /// draws are replayed and discarded so a shard entering mid-stream sees
-  /// the same bytes the eager model produced.
+  /// the same bytes a full pass produces.
   void skip(std::size_t n);
 
   /// Prefixes consumed so far (== the global id the cursor sits at).

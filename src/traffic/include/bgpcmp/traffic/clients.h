@@ -44,6 +44,8 @@ struct ClientBaseConfig {
 /// The generated client population.
 class ClientBase {
  public:
+  /// The whole population: every chunk of traffic::ClientStream (the one
+  /// generator, client_stream.h) concatenated.
   static ClientBase generate(const Internet& internet, const ClientBaseConfig& config);
 
   /// Rehydrate a population from deserialized prefixes (core/snapshot.h).
@@ -53,14 +55,9 @@ class ClientBase {
   [[nodiscard]] const ClientPrefix& at(PrefixId id) const { return prefixes_.at(id); }
   [[nodiscard]] std::size_t size() const { return prefixes_.size(); }
 
-  /// Prefixes originated by an AS.
-  [[nodiscard]] std::vector<PrefixId> of_origin(AsIndex as) const;
-
   /// FIB view of the population: longest-prefix-match from any client
   /// address to its /24's id.
   [[nodiscard]] bgp::PrefixMap<PrefixId> prefix_map() const;
-  /// Total user weight across all prefixes.
-  [[nodiscard]] double total_user_weight() const;
 
  private:
   std::vector<ClientPrefix> prefixes_;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgpcmp/netbase/simtime.h"
@@ -23,15 +24,16 @@ struct DemandConfig {
 
 /// Bytes served during the window around `t` by a prefix with the given
 /// static popularity, located at longitude `lon_deg`. The single definition
-/// of the diurnal volume curve: DemandModel::volume and the streaming scale
-/// path (client_stream.h, core/scale_study.h) both call it, so streamed
-/// volumes are byte-identical to the eager model's.
+/// of the diurnal volume curve: DemandModel::volume and the Fig 1 pair
+/// measurement (core/pop_pair.h) both call it.
 [[nodiscard]] Bytes diurnal_volume(const DemandConfig& config, double popularity,
                                    double lon_deg, SimTime t);
 
 /// Deterministic per-(prefix, window) demand model.
 class DemandModel {
  public:
+  /// Popularities come from one traffic::DemandStream pass over `clients`
+  /// (client_stream.h), the one definition of the popularity draw.
   DemandModel(const ClientBase* clients, const topo::CityDb* cities,
               const DemandConfig& config);
 
@@ -40,6 +42,8 @@ class DemandModel {
 
   /// Static popularity weight of a prefix (no diurnal term).
   [[nodiscard]] double popularity(PrefixId prefix) const;
+  /// Every prefix's popularity, indexed by PrefixId.
+  [[nodiscard]] std::span<const double> popularities() const { return popularity_; }
 
  private:
   const ClientBase* clients_;

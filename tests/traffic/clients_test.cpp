@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace bgpcmp::traffic {
 namespace {
@@ -58,25 +59,18 @@ TEST_F(ClientBaseTest, WeightsPositiveAndAccessInRange) {
   }
 }
 
-TEST_F(ClientBaseTest, OfOriginInvertsOrigin) {
-  const auto eb = net_.eyeballs[0];
-  const auto ids = clients_.of_origin(eb);
-  EXPECT_FALSE(ids.empty());
-  for (const auto id : ids) {
-    EXPECT_EQ(clients_.at(id).origin_as, eb);
-  }
-  // Every prefix of this origin is found.
-  std::size_t count = 0;
+// Each origin's prefixes form one contiguous run, in generation order
+// (eyeballs, then stubs): the Fig 1 planner computes one Adj-RIB-in per run,
+// so a split run would mean a second RIB for the same origin.
+TEST_F(ClientBaseTest, OriginPrefixesFormOneRunEach) {
+  std::vector<AsIndex> runs;
   for (const auto& c : clients_.prefixes()) {
-    if (c.origin_as == eb) ++count;
+    if (runs.empty() || runs.back() != c.origin_as) runs.push_back(c.origin_as);
   }
-  EXPECT_EQ(ids.size(), count);
-}
-
-TEST_F(ClientBaseTest, TotalWeightIsSum) {
-  double sum = 0.0;
-  for (const auto& c : clients_.prefixes()) sum += c.user_weight;
-  EXPECT_DOUBLE_EQ(clients_.total_user_weight(), sum);
+  std::vector<AsIndex> expected = net_.eyeballs;
+  expected.insert(expected.end(), net_.stubs.begin(), net_.stubs.end());
+  std::erase_if(expected, [&](AsIndex as) { return net_.graph.node(as).presence.empty(); });
+  EXPECT_EQ(runs, expected);
 }
 
 TEST_F(ClientBaseTest, DeterministicForSameSeed) {
