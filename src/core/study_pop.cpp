@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "bgpcmp/core/pop_pair.h"
-#include "bgpcmp/exec/thread_pool.h"
-#include "bgpcmp/latency/rtt_sampler.h"
 
 namespace bgpcmp::core {
 
@@ -27,36 +25,13 @@ std::vector<TimeWindow> study_windows(const PopStudyConfig& config) {
 }
 
 PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& config) {
-  const auto& graph = scenario.internet.graph;
-  const topo::CityDb& db = scenario.internet.city_db();
+  // Every <PoP, prefix> pair with at least two egress routes, planned from
+  // one provider Adj-RIB-in per client origin AS and measured across the
+  // pool: the kernel the streaming scale study runs per chunk (pop_pair.h).
   PopStudyResult result;
   result.windows = study_windows(config);
-
-  // Plan every <PoP, prefix> pair with at least two egress routes, from one
-  // provider Adj-RIB-in per client origin AS (shared by that AS's prefixes).
-  // Each pair reads only the immutable scenario and its origin's RIB, so
-  // planning fans out over the pool; under-routed pairs are dropped in order.
-  // plan_pop_pairs is shared with the streaming scale study (pop_pair.h).
-  const std::vector<PairPlan> plans = plan_pop_pairs(
-      graph, db, scenario.provider, scenario.clients.prefixes(), 0, config.top_k_routes);
-
-  // Measure: spray sessions over each route in every window. Plans are
-  // independent by construction — each forks its own RNG stream keyed by
-  // <prefix, pop> and reads only immutable scenario state (the congestion
-  // field's lazy access cache is internally synchronized) — so they fan out
-  // over the exec pool, collected in plan order. Output is byte-identical
-  // for any thread count; tools/determinism_audit --compare-threads checks.
-  const lat::RttSampler sampler;
-  const Rng root{config.seed};
-  result.series = exec::parallel_map(plans.size(), [&](std::size_t plan_index) {
-    const PairPlan& plan = plans[plan_index];
-    const auto& client = scenario.clients.at(plan.prefix);
-    return measure_pop_pair(plan, client, result.windows,
-                            scenario.demand.popularity(plan.prefix),
-                            db.at(client.city).location.lon_deg,
-                            scenario.config.demand, scenario.latency, sampler, root,
-                            config);
-  });
+  result.series = run_pop_pairs(scenario, scenario.clients.prefixes(), 0,
+                                scenario.demand.popularities(), result.windows, config);
   return result;
 }
 

@@ -1,6 +1,6 @@
-// The streaming scale study against the eager study: same world, same
-// config, bit-equal results. This is the contract that lets the 100x path
-// replace run_pop_study — chunking, chunk size, and process boundaries must
+// The streaming scale study against run_pop_study: both run run_pop_pairs,
+// per chunk and over the whole population, so the same world and config must
+// give bit-equal results. Chunking, chunk size, and process boundaries must
 // be invisible in the bytes.
 #include "bgpcmp/core/scale_study.h"
 
@@ -115,6 +115,17 @@ TEST(ScaleWorld, AdoptMatchesMake) {
   scfg.chunk_origins = 32;
   EXPECT_EQ(run_scale_study(*made, scfg).fingerprint(),
             run_scale_study(*adopted, scfg).fingerprint());
+}
+
+TEST(ScaleWorld, ScenarioCoreMatchesMake) {
+  // A Scenario is the world core plus clients and demand: the streaming
+  // study cannot tell its core from a bare ScaleWorld's.
+  const auto cfg = test::small_scenario_config();
+  ScaleStudyConfig scfg;
+  scfg.study = short_study();
+  scfg.chunk_origins = 32;
+  EXPECT_EQ(run_scale_study(*Scenario::make(cfg), scfg).fingerprint(),
+            run_scale_study(*ScaleWorld::make(cfg), scfg).fingerprint());
 }
 
 }  // namespace
