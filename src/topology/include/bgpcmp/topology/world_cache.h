@@ -5,13 +5,8 @@
 // preset). A generated world is immutable once built, so they can all copy
 // from one cached snapshot instead. Keyed by (config fingerprint, seed):
 // the fingerprint covers every non-seed InternetConfig field, so any knob
-// change is a different world.
-//
-// Resident processes (the serving layer) add two needs batch benches never
-// had: misses can be satisfied from an on-disk snapshot file instead of a
-// rebuild (register_snapshot), and the cache is bounded — completed entries
-// past `capacity()` are evicted least-recently-used so a long-lived server
-// cannot accumulate worlds without limit.
+// change is a different world. Entries live as long as the cache; its
+// callers hold a handful of worlds (e17's seeds, micro_core's one).
 //
 // Deliberately NOT used by Scenario::make(): the determinism audit exists to
 // compare two *independent* builds, and a cache would collapse them into one.
@@ -22,7 +17,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "bgpcmp/netbase/thread_annotations.h"
@@ -37,37 +31,12 @@ namespace bgpcmp::topo {
 /// first mutation.
 class WorldCache {
  public:
-  /// Default bound on completed entries. Generous for sweeps (e17 holds a few
-  /// dozen seeds) while still bounding a resident process.
-  static constexpr std::size_t kDefaultCapacity = 32;
-
-  /// The world for `config`, building and caching it on first request — or
-  /// replaying a registered snapshot file when one exists for this key.
+  /// The world for `config`, building and caching it on first request.
   /// The returned snapshot is shared and immutable — callers needing a
   /// mutable world (e.g. to attach a provider) must copy it. Warm-phase:
   /// misses run build_internet, so it must never sit on a serve path.
   BGPCMP_PHASE(warm)
   [[nodiscard]] std::shared_ptr<const Internet> get(const InternetConfig& config);
-
-  /// Register an on-disk world snapshot for `config`'s (fingerprint, seed)
-  /// key: a later get() miss loads and replays it (world_snapshot.h) instead
-  /// of generating. Registration stores only the path; the file is opened —
-  /// and its config/world fingerprints verified — at load time.
-  void register_snapshot(const InternetConfig& config, std::string path);
-
-  /// Bound on *completed* entries (in-flight builds are never evicted; a
-  /// shrink applies as builds finish). Setting a smaller capacity evicts
-  /// immediately, least-recently-used first.
-  void set_capacity(std::size_t n);
-  [[nodiscard]] std::size_t capacity() const;
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  [[nodiscard]] std::uint64_t evictions() const;
-  /// Misses satisfied by replaying a registered snapshot file.
-  [[nodiscard]] std::uint64_t snapshot_loads() const;
-  void clear();
 
   /// Process-wide instance used by benches and seed sweeps.
   static WorldCache& global();
@@ -77,28 +46,10 @@ class WorldCache {
   using Key = std::pair<std::uint64_t, std::uint64_t>;
   using WorldFuture = std::shared_future<std::shared_ptr<const Internet>>;
 
-  struct Entry {
-    WorldFuture future;
-    std::uint64_t last_use = 0;  ///< tick of the most recent get()
-    bool ready = false;          ///< set once the build/load completed
-  };
-
-  /// Evict least-recently-used completed entries until at most `capacity_`
-  /// remain. In-flight entries are skipped: waiters hold their futures.
-  void evict_locked() BGPCMP_REQUIRES(mu_);
-
-  // Leaf lock: taken for map lookups/inserts only; build_internet and the
-  // snapshot replay run outside it, so nothing is ever acquired while mu_ is
-  // held.
+  // Leaf lock: taken for map lookups/inserts only; build_internet runs
+  // outside it, so nothing is ever acquired while mu_ is held.
   mutable Mutex mu_ BGPCMP_ACQUIRES_ORDER(40);
-  std::map<Key, Entry> worlds_ BGPCMP_GUARDED_BY(mu_);
-  std::map<Key, std::string> snapshots_ BGPCMP_GUARDED_BY(mu_);
-  std::size_t capacity_ BGPCMP_GUARDED_BY(mu_) = kDefaultCapacity;
-  std::uint64_t tick_ BGPCMP_GUARDED_BY(mu_) = 0;
-  std::uint64_t hits_ BGPCMP_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ BGPCMP_GUARDED_BY(mu_) = 0;
-  std::uint64_t evictions_ BGPCMP_GUARDED_BY(mu_) = 0;
-  std::uint64_t snapshot_loads_ BGPCMP_GUARDED_BY(mu_) = 0;
+  std::map<Key, WorldFuture> worlds_ BGPCMP_GUARDED_BY(mu_);
 };
 
 }  // namespace bgpcmp::topo

@@ -30,8 +30,8 @@ inline constexpr char kSnapshotMagic[8] = {'B', 'G', 'P', 'C', 'M', 'P', 'S', 'N
 /// Current layout version; bump on any wire-format change.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-// Section bits, in payload order. A world-only snapshot (WorldCache entries)
-// carries just kSectionWorld; a serving snapshot carries all four.
+// Section bits, in payload order. A world-only snapshot (a topology cache
+// file, bench/e20_scale) carries just kSectionWorld; a serving snapshot carries all four.
 inline constexpr std::uint32_t kSectionWorld = 1u << 0;
 inline constexpr std::uint32_t kSectionProvider = 1u << 1;
 inline constexpr std::uint32_t kSectionClients = 1u << 2;
@@ -190,7 +190,7 @@ void save_world_snapshot(const std::string& path, const Internet& net,
                          const InternetConfig& config);
 
 /// Load a world-only snapshot, verifying it matches `config`; kFull (the
-/// default here — world snapshots feed the WorldCache, not a latency-bound
+/// default here — world snapshots feed world builds, not a latency-bound
 /// server start) additionally pins the materialized world's fingerprint to
 /// the stored one. Replaces build_internet() for warm starts, hence the
 /// build phase tag.

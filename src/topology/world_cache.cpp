@@ -1,48 +1,30 @@
 #include "bgpcmp/topology/world_cache.h"
 
-#include "bgpcmp/topology/world_snapshot.h"
-
 namespace bgpcmp::topo {
 
 std::shared_ptr<const Internet> WorldCache::get(const InternetConfig& config) {
   const Key key{internet_config_fingerprint(config), config.seed};
   std::promise<std::shared_ptr<const Internet>> promise;
   WorldFuture future;
-  std::string snapshot_path;
   bool builder = false;
   {
     const MutexLock lock{mu_};
     const auto it = worlds_.find(key);
     if (it != worlds_.end()) {
-      ++hits_;
-      it->second.last_use = ++tick_;
-      future = it->second.future;
+      future = it->second;
     } else {
-      ++misses_;
       builder = true;
       future = promise.get_future().share();
-      worlds_.emplace(key, Entry{future, ++tick_, false});
-      const auto snap = snapshots_.find(key);
-      if (snap != snapshots_.end()) snapshot_path = snap->second;
+      worlds_.emplace(key, future);
     }
   }
   if (builder) {
     // Build outside the lock: distinct configs (e.g. a seed sweep's workers)
-    // must not serialize behind each other. A registered snapshot replaces
-    // the generator; the replay verifies config and world fingerprints.
+    // must not serialize behind each other.
     try {
-      auto world = std::make_shared<Internet>(snapshot_path.empty()
-                                                  ? build_internet(config)
-                                                  : load_world_snapshot(snapshot_path, config));
+      auto world = std::make_shared<Internet>(build_internet(config));
       (void)world->graph.edge_index();  // pre-warm the CSR; copies share it
       promise.set_value(std::move(world));
-      const MutexLock lock{mu_};
-      if (!snapshot_path.empty()) ++snapshot_loads_;
-      const auto it = worlds_.find(key);
-      if (it != worlds_.end()) {
-        it->second.ready = true;
-        evict_locked();
-      }
     } catch (...) {
       promise.set_exception(std::current_exception());
       {
@@ -53,76 +35,6 @@ std::shared_ptr<const Internet> WorldCache::get(const InternetConfig& config) {
     }
   }
   return future.get();
-}
-
-void WorldCache::register_snapshot(const InternetConfig& config, std::string path) {
-  const Key key{internet_config_fingerprint(config), config.seed};
-  const MutexLock lock{mu_};
-  snapshots_[key] = std::move(path);
-}
-
-void WorldCache::set_capacity(std::size_t n) {
-  const MutexLock lock{mu_};
-  capacity_ = n;
-  evict_locked();
-}
-
-std::size_t WorldCache::capacity() const {
-  const MutexLock lock{mu_};
-  return capacity_;
-}
-
-void WorldCache::evict_locked() {
-  for (;;) {
-    std::size_t ready = 0;
-    auto victim = worlds_.end();
-    for (auto it = worlds_.begin(); it != worlds_.end(); ++it) {
-      if (!it->second.ready) continue;
-      ++ready;
-      if (victim == worlds_.end() || it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (ready <= capacity_ || victim == worlds_.end()) return;
-    worlds_.erase(victim);
-    ++evictions_;
-  }
-}
-
-std::size_t WorldCache::size() const {
-  const MutexLock lock{mu_};
-  return worlds_.size();
-}
-
-std::uint64_t WorldCache::hits() const {
-  const MutexLock lock{mu_};
-  return hits_;
-}
-
-std::uint64_t WorldCache::misses() const {
-  const MutexLock lock{mu_};
-  return misses_;
-}
-
-std::uint64_t WorldCache::evictions() const {
-  const MutexLock lock{mu_};
-  return evictions_;
-}
-
-std::uint64_t WorldCache::snapshot_loads() const {
-  const MutexLock lock{mu_};
-  return snapshot_loads_;
-}
-
-void WorldCache::clear() {
-  const MutexLock lock{mu_};
-  worlds_.clear();
-  snapshots_.clear();
-  tick_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
-  snapshot_loads_ = 0;
 }
 
 WorldCache& WorldCache::global() {

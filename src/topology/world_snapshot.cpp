@@ -382,7 +382,7 @@ SnapshotFile read_snapshot_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// World-only convenience wrappers (WorldCache entries).
+// World-only convenience wrappers (topology cache files).
 
 std::uint64_t world_config_fingerprint(const InternetConfig& config) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

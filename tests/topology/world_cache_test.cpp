@@ -24,14 +24,8 @@ InternetConfig small_config(std::uint64_t seed = 5) {
 TEST(WorldCache, SecondGetIsAHitOnTheSameSnapshot) {
   WorldCache cache;
   const auto a = cache.get(small_config());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
   const auto b = cache.get(small_config());
   EXPECT_EQ(a.get(), b.get());  // one snapshot, not an equal copy
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(WorldCache, SeedIsPartOfTheKey) {
@@ -40,8 +34,9 @@ TEST(WorldCache, SeedIsPartOfTheKey) {
   const auto b = cache.get(small_config(6));
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(internet_fingerprint(*a), internet_fingerprint(*b));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  // Both stay cached side by side.
+  EXPECT_EQ(cache.get(small_config(5)).get(), a.get());
+  EXPECT_EQ(cache.get(small_config(6)).get(), b.get());
 }
 
 TEST(WorldCache, NonSeedKnobsArePartOfTheKey) {
@@ -51,27 +46,13 @@ TEST(WorldCache, NonSeedKnobsArePartOfTheKey) {
   cfg.transit_peer_prob += 0.05;
   const auto b = cache.get(cfg);
   EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.get(cfg).get(), b.get());
 }
 
 TEST(WorldCache, CachedWorldMatchesAFreshBuild) {
   WorldCache cache;
   const auto cached = cache.get(small_config());
   EXPECT_EQ(internet_fingerprint(*cached),
-            internet_fingerprint(build_internet(small_config())));
-}
-
-TEST(WorldCache, ClearDropsSnapshotsAndCounters) {
-  WorldCache cache;
-  (void)cache.get(small_config());
-  (void)cache.get(small_config());
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  const auto again = cache.get(small_config());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(internet_fingerprint(*again),
             internet_fingerprint(build_internet(small_config())));
 }
 
@@ -83,8 +64,8 @@ TEST(WorldCache, ConcurrentSameKeyRequestsShareOneBuild) {
   std::set<const Internet*> distinct;
   for (const auto& w : worlds) distinct.insert(w.get());
   EXPECT_EQ(distinct.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 7u);
+  // The shared build is the cached entry, not a one-off.
+  EXPECT_EQ(cache.get(small_config()).get(), *distinct.begin());
 }
 
 TEST(WorldCache, GlobalIsOneInstance) {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "bgpcmp/netbase/check.h"
-#include "bgpcmp/topology/world_cache.h"
 
 namespace bgpcmp::topo {
 namespace {
@@ -221,54 +220,6 @@ TEST(WorldSnapshot, FutureVersionReportsVersionMismatch) {
                          "snapshot version mismatch; rebuild the snapshot"))
         << e.what();
   }
-}
-
-TEST(WorldCacheSnapshot, MissLoadsARegisteredSnapshot) {
-  const auto cfg = small_config();
-  const Internet built = build_internet(cfg);
-  const auto path = tmp_path("world_cache_entry.snap");
-  save_world_snapshot(path, built, cfg);
-
-  WorldCache cache;
-  cache.register_snapshot(cfg, path);
-  const auto world = cache.get(cfg);
-  EXPECT_EQ(cache.snapshot_loads(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(internet_fingerprint(*world), internet_fingerprint(built));
-  // Second get is a plain hit; the file is not re-read.
-  const auto again = cache.get(cfg);
-  EXPECT_EQ(world.get(), again.get());
-  EXPECT_EQ(cache.snapshot_loads(), 1u);
-}
-
-TEST(WorldCacheEviction, CapacityBoundsCompletedEntriesLru) {
-  WorldCache cache;
-  cache.set_capacity(2);
-  const auto a = cache.get(small_config(1));
-  const auto b = cache.get(small_config(2));
-  EXPECT_EQ(cache.size(), 2u);
-  // Touch a so b becomes the LRU victim when c lands.
-  (void)cache.get(small_config(1));
-  const auto c = cache.get(small_config(3));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  // a stayed resident (hit); b was evicted (miss rebuilds it).
-  const auto misses_before = cache.misses();
-  (void)cache.get(small_config(1));
-  EXPECT_EQ(cache.misses(), misses_before);
-  (void)cache.get(small_config(2));
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-}
-
-TEST(WorldCacheEviction, ShrinkingCapacityEvictsImmediately) {
-  WorldCache cache;
-  (void)cache.get(small_config(1));
-  (void)cache.get(small_config(2));
-  (void)cache.get(small_config(3));
-  EXPECT_EQ(cache.size(), 3u);
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.evictions(), 2u);
 }
 
 }  // namespace
