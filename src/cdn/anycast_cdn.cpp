@@ -23,7 +23,7 @@ void AnycastCdn::warm_unicast_tables() {
   }
   // Build the CSR index before the fan-out so the workers share one snapshot
   // (warm-then-plan, docs/PARALLELISM.md); tables land in per-PoP slots.
-  internet_->graph.edge_index();
+  (void)internet_->graph.edge_index();
   unicast_tables_ = exec::parallel_map(n, [this](std::size_t pop) {
     return bgp::compute_routes(internet_->graph, unicast_specs_[pop]);
   });

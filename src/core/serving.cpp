@@ -117,6 +117,9 @@ std::unique_ptr<ServingWorld> ServingWorld::load(const std::string& path,
                                                  const ScenarioConfig& config,
                                                  topo::SnapshotVerify verify) {
   ServingState state = load_serving_snapshot(path, config, verify);
+  // A loaded graph's CSR index is cold: build it before any batch fans out,
+  // so the workers share one index instead of racing to construct it.
+  (void)state.scenario->internet.graph.edge_index();
   return std::unique_ptr<ServingWorld>(new ServingWorld(
       std::move(state.scenario), std::move(state.warmed), std::move(state.tables)));
 }

@@ -32,7 +32,7 @@ CloudTiers::CloudTiers(const Internet* internet, const ContentProvider* provider
   // The two tier tables are independent: build the CSR index once up front,
   // then compute them across the pool (index-addressed, so byte-identical at
   // any width — see docs/PARALLELISM.md warm-then-plan).
-  internet_->graph.edge_index();
+  (void)internet_->graph.edge_index();
   auto built = exec::parallel_map(2, [&](std::size_t i) {
     return bgp::compute_routes(internet_->graph,
                                i == 0 ? premium_spec_ : standard_spec_);
