@@ -15,7 +15,7 @@
 #include <map>
 #include <string>
 
-#include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/cdn/edge_fabric.h"
 #include "bgpcmp/cdn/edge_fabric_controller.h"
 #include "bgpcmp/core/report.h"
@@ -48,25 +48,19 @@ int main(int argc, char** argv) {
   const auto& g = scenario->internet.graph;
   const auto& db = scenario->internet.city_db();
 
-  // Plan every prefix: warm all origin tables over the pool, then rank
-  // options + realize paths against the read-only cache.
-  bgp::RouteCache tables{&g};
-  {
-    std::vector<bgp::AsIndex> origins;
-    origins.reserve(scenario->clients.size());
-    for (const auto& client : scenario->clients.prefixes()) {
-      origins.push_back(client.origin_as);
-    }
-    tables.warm(origins, exec::global_pool());
-  }
+  // Plan every prefix like the Fig 1 study: rank the egress options the
+  // provider hears toward the client's origin (its Adj-RIB-in), then realize
+  // each option's path.
   std::vector<cdn::EdgeFabricController::PrefixPlan> plans;
   std::vector<std::vector<lat::GeoPath>> paths;  // parallel to plans
   for (traffic::PrefixId id = 0; id < scenario->clients.size(); ++id) {
     const auto& client = scenario->clients.at(id);
     const auto pop = scenario->provider.serving_pop(g, db, client.origin_as,
                                                     client.city);
+    const auto rib = bgp::adj_rib_in(g, bgp::OriginSpec::everywhere(client.origin_as),
+                                     scenario->provider.as_index());
     auto options = cdn::edge_fabric::rank_by_policy(
-        g, scenario->provider.egress_options(g, tables.toward(client.origin_as), pop));
+        g, scenario->provider.egress_options(g, rib, pop));
     if (options.empty()) continue;
     if (options.size() > 3) options.resize(3);
     cdn::EdgeFabricController::PrefixPlan plan;

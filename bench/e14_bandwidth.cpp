@@ -12,7 +12,7 @@
 #include <map>
 #include <string>
 
-#include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/cdn/edge_fabric.h"
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
@@ -33,16 +33,8 @@ int main(int argc, char** argv) {
   const auto& g = scenario->internet.graph;
   const auto& db = scenario->internet.city_db();
 
-  // Plan routes exactly like the Fig 1 study: warm, then plan read-only.
-  bgp::RouteCache tables{&g};
-  {
-    std::vector<bgp::AsIndex> origins;
-    origins.reserve(scenario->clients.size());
-    for (const auto& client : scenario->clients.prefixes()) {
-      origins.push_back(client.origin_as);
-    }
-    tables.warm(origins, exec::global_pool());
-  }
+  // Plan routes exactly like the Fig 1 study: from the provider's Adj-RIB-in
+  // toward each client's origin.
   struct Plan {
     traffic::PrefixId prefix;
     std::vector<lat::GeoPath> paths;  // [0] = BGP preferred
@@ -52,8 +44,10 @@ int main(int argc, char** argv) {
     const auto& client = scenario->clients.at(id);
     const auto pop = scenario->provider.serving_pop(g, db, client.origin_as,
                                                     client.city);
+    const auto rib = bgp::adj_rib_in(g, bgp::OriginSpec::everywhere(client.origin_as),
+                                     scenario->provider.as_index());
     auto options = cdn::edge_fabric::rank_by_policy(
-        g, scenario->provider.egress_options(g, tables.toward(client.origin_as), pop));
+        g, scenario->provider.egress_options(g, rib, pop));
     if (options.size() < 2) continue;
     if (options.size() > 3) options.resize(3);
     Plan plan;

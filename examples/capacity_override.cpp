@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/cdn/edge_fabric_controller.h"
 #include "bgpcmp/core/scenario.h"
 
@@ -15,15 +15,17 @@ int main() {
   const auto& g = scenario->internet.graph;
   const auto& db = scenario->internet.city_db();
 
-  // Plan every prefix like the controller bench does.
-  bgp::RouteCache tables{&g};
+  // Plan every prefix like the controller bench does: rank the egress
+  // options in the provider's Adj-RIB-in toward the client's origin.
   std::vector<cdn::EdgeFabricController::PrefixPlan> plans;
   for (traffic::PrefixId id = 0; id < scenario->clients.size(); ++id) {
     const auto& client = scenario->clients.at(id);
     const auto pop = scenario->provider.serving_pop(g, db, client.origin_as,
                                                     client.city);
+    const auto rib = bgp::adj_rib_in(g, bgp::OriginSpec::everywhere(client.origin_as),
+                                     scenario->provider.as_index());
     auto options = cdn::edge_fabric::rank_by_policy(
-        g, scenario->provider.egress_options(g, tables.toward(client.origin_as), pop));
+        g, scenario->provider.egress_options(g, rib, pop));
     if (options.size() < 2) continue;
     if (options.size() > 3) options.resize(3);
     plans.push_back(cdn::EdgeFabricController::PrefixPlan{id, pop, std::move(options)});

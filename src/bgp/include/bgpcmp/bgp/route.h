@@ -84,8 +84,6 @@ class RouteTable {
 
   /// AS-level forwarding path [from, ..., origin]. Empty if unreachable.
   [[nodiscard]] std::vector<AsIndex> path(AsIndex from) const;
-  /// The edges along path(from) (size = path size - 1).
-  [[nodiscard]] std::vector<EdgeId> path_edges(AsIndex from) const;
 
  private:
   const AsGraph* graph_;

@@ -33,19 +33,4 @@ std::vector<AsIndex> RouteTable::path(AsIndex from) const {
   return {};
 }
 
-std::vector<EdgeId> RouteTable::path_edges(AsIndex from) const {
-  std::vector<EdgeId> out;
-  if (!reachable(from)) return out;
-  out.reserve(routes_[from].length);  // one edge per hop, <= stored length
-  AsIndex cur = from;
-  for (std::size_t steps = 0; steps <= routes_.size(); ++steps) {
-    if (cur == origin_) return out;
-    out.push_back(routes_[cur].via_edge);
-    cur = routes_[cur].next_hop;
-    BGPCMP_CHECK_NE(cur, kNoAs, "route table has a gap on the path toward the origin");
-  }
-  BGPCMP_FAIL("forwarding loop in route table");
-  return {};
-}
-
 }  // namespace bgpcmp::bgp

@@ -5,26 +5,15 @@
 
 namespace bgpcmp::bgp {
 
-std::vector<AsIndex> RouteCache::missing(std::span<const AsIndex> origins) const {
+void RouteCache::warm(std::span<const AsIndex> origins, exec::ThreadPool& pool) {
+  // The distinct uncached origins, in first-appearance order.
   std::vector<std::uint8_t> seen(slots_.size(), 0);
-  std::vector<AsIndex> out;
+  std::vector<AsIndex> todo;
   for (const AsIndex o : origins) {
     if (slots_.at(o).has_value() || seen[o] != 0) continue;
     seen[o] = 1;
-    out.push_back(o);
+    todo.push_back(o);
   }
-  return out;
-}
-
-void RouteCache::warm(std::span<const AsIndex> origins) {
-  for (const AsIndex o : missing(origins)) {
-    slots_[o].emplace(compute_routes(*graph_, o));
-    ++cached_;
-  }
-}
-
-void RouteCache::warm(std::span<const AsIndex> origins, exec::ThreadPool& pool) {
-  const std::vector<AsIndex> todo = missing(origins);
   if (todo.empty()) return;
   // Build the CSR index before the fan-out so workers share one snapshot
   // instead of racing to construct it (the race is benign but wasteful).
@@ -38,25 +27,6 @@ void RouteCache::warm(std::span<const AsIndex> origins, exec::ThreadPool& pool) 
   }
 }
 
-ChurnEngine& RouteCache::engine(AsIndex origin) {
-  BGPCMP_CHECK(slots_.at(origin).has_value(),
-               "reconverge needs a warmed origin (warm() it first)");
-  std::unique_ptr<ChurnEngine>& slot = engines_[origin];
-  if (!slot) {
-    slot = std::make_unique<ChurnEngine>(graph_, OriginSpec::everywhere(origin));
-  }
-  return *slot;
-}
-
-ChurnStats RouteCache::reconverge(AsIndex origin, std::span<const ChurnEvent> events) {
-  ChurnEngine& eng = engine(origin);
-  const ChurnStats st = eng.reconverge(events);
-  // Publish by copy: readers hold pointers into the slot across find(), so
-  // the slot must never alias the engine's mutable working table.
-  slots_[origin] = eng.table();
-  return st;
-}
-
 std::vector<ChurnStats> RouteCache::reconverge(std::span<const OriginChurn> wave,
                                                exec::ThreadPool& pool) {
   // Engines are keyed by origin, so distinctness is what makes the parallel
@@ -64,15 +34,20 @@ std::vector<ChurnStats> RouteCache::reconverge(std::span<const OriginChurn> wave
   // workers only touch their own engine.
   std::vector<std::uint8_t> seen(slots_.size(), 0);
   for (const OriginChurn& oc : wave) {
+    BGPCMP_CHECK(slots_.at(oc.origin).has_value(),
+                 "reconverge needs a warmed origin (warm() it first)");
     BGPCMP_CHECK(seen[oc.origin] == 0, "a reconverge wave must not repeat an origin");
     seen[oc.origin] = 1;
-    engine(oc.origin);
+    std::unique_ptr<ChurnEngine>& eng = engines_[oc.origin];
+    if (!eng) eng = std::make_unique<ChurnEngine>(graph_, OriginSpec::everywhere(oc.origin));
   }
   (void)graph_->edge_index();
   std::vector<ChurnStats> stats =
       exec::parallel_map(pool, wave.size(), [&](std::size_t i) {
         return engines_[wave[i].origin]->reconverge(wave[i].events);
       });
+  // Publish by copy: readers hold pointers into the slot across find(), so
+  // the slot must never alias the engine's mutable working table.
   for (const OriginChurn& oc : wave) slots_[oc.origin] = engines_[oc.origin]->table();
   return stats;
 }

@@ -21,22 +21,6 @@ struct SweepResult {
 
 }  // namespace
 
-std::vector<bgp::ChurnEvent> churn_events(const GroomingReport& report) {
-  std::vector<bgp::ChurnEvent> out;
-  out.reserve(report.steps.size());
-  for (const GroomingStep& s : report.steps) {
-    if (s.reverted) continue;  // a revert restores the spec; skip the pair
-    if (s.withdrawn) {
-      out.push_back(bgp::ChurnEvent::suppress_edge(s.edge));
-    } else {
-      // total_prepend is the post-step absolute count, matching the
-      // set-not-increment semantics of ChurnKind::Prepend.
-      out.push_back(bgp::ChurnEvent::prepend_set(s.edge, s.total_prepend));
-    }
-  }
-  return out;
-}
-
 GroomingReport AnycastGroomer::groom() {
   GroomingReport report;
   Rng root{config_.seed};

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "bgpcmp/bgp/churn.h"
 #include "bgpcmp/cdn/dns_redirect.h"
 #include "bgpcmp/cdn/odin.h"
 
@@ -45,14 +44,6 @@ struct GroomingReport {
   /// index 0 = ungroomed baseline.
   std::vector<double> mean_gap_by_iteration;
 };
-
-/// The report's surviving steps as a BGP event stream: what the operator loop
-/// did to the announcement, in order, with reverted steps elided (a revert
-/// restores the spec, so skipping the pair reproduces the final state).
-/// Replaying these through a churn engine seeded with the pre-grooming spec
-/// re-converges to exactly the groomed announcement's routes — the E18 bench
-/// uses this as its realistic low-locality event mix.
-[[nodiscard]] std::vector<bgp::ChurnEvent> churn_events(const GroomingReport& report);
 
 class AnycastGroomer {
  public:

@@ -57,10 +57,6 @@ class ThreadPool {
   /// throwing body as fatal, not as control flow).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// True on a thread currently executing pool work (such calls run loops
-  /// inline rather than re-entering the queue).
-  [[nodiscard]] static bool on_worker_thread();
-
  private:
   struct Impl;
   int size_ = 1;
@@ -71,7 +67,7 @@ class ThreadPool {
 /// positive integer, else std::thread::hardware_concurrency() (min 1).
 [[nodiscard]] int default_thread_count();
 
-/// The process-wide pool used by the free parallel_for / parallel_map below.
+/// The process-wide pool used by the free parallel_map below.
 /// Created on first use with default_thread_count() threads.
 [[nodiscard]] ThreadPool& global_pool();
 
@@ -87,9 +83,6 @@ void set_thread_count(int n);
 /// in place so downstream positional parsing is undisturbed. Benches and
 /// tools call this first thing in main().
 void apply_thread_flag(int& argc, char** argv);
-
-/// parallel_for on the global pool.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 /// Map [0, n) through `fn` on `pool`, returning results in index order.
 /// `fn` must be callable with a std::size_t and return a movable value.

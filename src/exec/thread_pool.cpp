@@ -121,8 +121,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : impl_->workers) w.join();
 }
 
-bool ThreadPool::on_worker_thread() { return tl_on_worker; }
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   BGPCMP_CHECK(body, "parallel_for needs a callable body");
@@ -215,10 +213,6 @@ void apply_thread_flag(int& argc, char** argv) {
     argc -= 2;
     return;
   }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  global_pool().parallel_for(n, body);
 }
 
 }  // namespace bgpcmp::exec

@@ -167,9 +167,4 @@ void CongestionField::set_load_scale(LinkId link, double scale) {
   load_scale_[link] = scale;
 }
 
-double CongestionField::load_scale(LinkId link) const {
-  BGPCMP_CHECK_LT(link, load_scale_.size(), "link out of range");
-  return load_scale_[link];
-}
-
 }  // namespace bgpcmp::lat

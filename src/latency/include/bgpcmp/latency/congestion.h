@@ -105,7 +105,6 @@ class CongestionField {
   /// Scale the offered load on a link (capacity-reduction ablation, E7).
   /// 1.0 = nominal.
   void set_load_scale(LinkId link, double scale);
-  [[nodiscard]] double load_scale(LinkId link) const;
 
   [[nodiscard]] const CongestionConfig& config() const { return config_; }
 

@@ -28,10 +28,6 @@ class RttSampler {
   /// Observed single ping RTT.
   [[nodiscard]] Milliseconds sample_ping(Milliseconds base, Rng& rng) const;
 
-  /// Minimum of `count` pings (Speedchecker issues 5 per measurement).
-  [[nodiscard]] Milliseconds sample_ping_min(Milliseconds base, int count,
-                                             Rng& rng) const;
-
  private:
   SamplerConfig config_;
 };

@@ -19,8 +19,4 @@ Milliseconds RttSampler::sample_ping(Milliseconds base, Rng& rng) const {
   return base + Milliseconds{rng.exponential(config_.noise_scale_ms)};
 }
 
-Milliseconds RttSampler::sample_ping_min(Milliseconds base, int count, Rng& rng) const {
-  return sample_min_rtt(base, count, rng);
-}
-
 }  // namespace bgpcmp::lat

@@ -47,9 +47,6 @@ class Prefix {
     return Prefix{Ipv4Address{addr.bits() & mask}, length};
   }
 
-  /// Parse "a.b.c.d/len". Returns nullopt on malformed input.
-  static std::optional<Prefix> parse(std::string_view text);
-
   [[nodiscard]] constexpr Ipv4Address network() const { return network_; }
   [[nodiscard]] constexpr std::uint8_t length() const { return length_; }
 

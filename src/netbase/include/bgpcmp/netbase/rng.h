@@ -63,23 +63,4 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
-/// Zipf sampler over ranks 1..n with exponent s, via precomputed CDF and
-/// binary search. Used for traffic volume across client prefixes ("a small
-/// number of prefixes carry most bytes").
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double s);
-
-  /// Sample a 0-based rank (0 is the most popular).
-  std::size_t sample(Rng& rng) const;
-
-  /// Probability mass of 0-based rank r.
-  [[nodiscard]] double pmf(std::size_t rank) const;
-
-  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
-};
-
 }  // namespace bgpcmp

@@ -63,10 +63,10 @@
   BGPCMP_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 /// Marks a type or data member as single-thread-only by contract: its lazy
-/// mutable state is unsynchronized on purpose (WeightedCdf's sort cache,
-/// RouteCache's post-warm lazy toward()). Expands to nothing — the value is
-/// that tools/detlint rule D2 accepts marked members and flags unmarked
-/// mutable state, and reviewers can grep for every such waiver. Pair with an
+/// mutable state is unsynchronized on purpose (WeightedCdf's sort cache).
+/// Expands to nothing — the value is that tools/detlint rule D2 accepts
+/// marked members and flags unmarked mutable state, and reviewers can grep
+/// for every such waiver. Pair with an
 /// OwningThread runtime assertion so the contract also trips in builds
 /// without Clang TSA (see BGPCMP_ASSERT_SINGLE_THREAD).
 #define BGPCMP_SINGLE_THREAD

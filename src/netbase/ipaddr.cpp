@@ -48,21 +48,6 @@ std::string Ipv4Address::str() const {
   return out;
 }
 
-std::optional<Prefix> Prefix::parse(std::string_view text) {
-  const auto slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  auto addr = Ipv4Address::parse(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  const std::string_view len_text = text.substr(slash + 1);
-  std::uint32_t len = 0;
-  auto [ptr, ec] =
-      std::from_chars(len_text.data(), len_text.data() + len_text.size(), len);
-  if (ec != std::errc{} || ptr != len_text.data() + len_text.size() || len > 32) {
-    return std::nullopt;
-  }
-  return Prefix::make(*addr, static_cast<std::uint8_t>(len));
-}
-
 std::string Prefix::str() const {
   return network_.str() + "/" + std::to_string(length_);
 }

@@ -89,27 +89,4 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
   return weights.size() - 1;  // numeric slop lands on the last element
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  BGPCMP_CHECK_GT(n, 0, "Zipf sampler over zero ranks");
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    acc += 1.0 / std::pow(static_cast<double>(r + 1), s);
-    cdf_[r] = acc;
-  }
-  for (double& v : cdf_) v /= acc;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double ZipfSampler::pmf(std::size_t rank) const {
-  BGPCMP_CHECK_LT(rank, cdf_.size(), "Zipf rank out of range");
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
-}
-
 }  // namespace bgpcmp

@@ -93,20 +93,6 @@ ConfidenceInterval interval_from(std::vector<double>& stats, double point,
 
 }  // namespace
 
-ConfidenceInterval bootstrap_median_ci(std::span<const double> values, Rng& rng,
-                                       const BootstrapOptions& opts) {
-  BGPCMP_CHECK(!values.empty(), "bootstrap of an empty sample");
-  BGPCMP_CHECK_GT(opts.resamples, 0, "bootstrap needs at least one resample");
-  const RankedSample sample = rank_sample(values);
-  std::vector<std::uint32_t> counts;
-  std::vector<double> medians;
-  medians.reserve(static_cast<std::size_t>(opts.resamples));
-  for (int i = 0; i < opts.resamples; ++i) {
-    medians.push_back(counted_median(sample, rng, counts));
-  }
-  return interval_from(medians, quantile_sorted(sample.sorted, 0.5), opts.confidence);
-}
-
 ConfidenceInterval bootstrap_median_diff_ci(std::span<const double> a,
                                             std::span<const double> b, Rng& rng,
                                             const BootstrapOptions& opts) {

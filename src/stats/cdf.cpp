@@ -12,14 +12,6 @@ void WeightedCdf::add(double value, double weight) {
   sorted_ = false;
 }
 
-void WeightedCdf::add_all(std::span<const Weighted> obs) {
-  for (const auto& o : obs) {
-    BGPCMP_CHECK_GE(o.weight, 0.0, "CDF weights must be non-negative");
-  }
-  obs_.insert(obs_.end(), obs.begin(), obs.end());
-  sorted_ = false;
-}
-
 void WeightedCdf::ensure_sorted() const {
   if (sorted_) return;
   // Once sorted, concurrent queries are pure reads; the single-thread
@@ -34,11 +26,6 @@ void WeightedCdf::ensure_sorted() const {
     cum_weight_[i] = acc;
   }
   sorted_ = true;
-}
-
-double WeightedCdf::total_weight() const {
-  ensure_sorted();
-  return cum_weight_.empty() ? 0.0 : cum_weight_.back();
 }
 
 double WeightedCdf::fraction_at_most(double x) const {
@@ -96,18 +83,6 @@ std::vector<SeriesPoint> WeightedCdf::ccdf_series(double lo, double hi,
   auto out = cdf_series(lo, hi, points);
   for (auto& p : out) p.y = 1.0 - p.y;
   return out;
-}
-
-double WeightedCdf::min() const {
-  BGPCMP_CHECK(!obs_.empty(), "CDF has no observations");
-  ensure_sorted();
-  return obs_.front().value;
-}
-
-double WeightedCdf::max() const {
-  BGPCMP_CHECK(!obs_.empty(), "CDF has no observations");
-  ensure_sorted();
-  return obs_.back().value;
 }
 
 }  // namespace bgpcmp::stats

@@ -2,7 +2,8 @@
 //
 // Figure 1's shaded region is "the distribution of the lower and upper bounds
 // of the confidence intervals around the performance difference". We compute
-// percentile-bootstrap CIs for the median of small per-window samples.
+// percentile-bootstrap CIs for the difference of two medians of small
+// per-window samples.
 #pragma once
 
 #include <span>
@@ -25,14 +26,9 @@ struct BootstrapOptions {
   double confidence = 0.95;  ///< two-sided level, e.g. 0.95 -> [2.5%, 97.5%]
 };
 
-/// Percentile-bootstrap CI for the median of `values`. Deterministic given
-/// the Rng. Requires non-empty input.
-[[nodiscard]] ConfidenceInterval bootstrap_median_ci(std::span<const double> values,
-                                                     Rng& rng,
-                                                     const BootstrapOptions& opts = {});
-
-/// CI for the *difference of medians* median(a) - median(b), resampling both
-/// sides independently. Requires both inputs non-empty.
+/// Percentile-bootstrap CI for the *difference of medians*
+/// median(a) - median(b), resampling both sides independently.
+/// Deterministic given the Rng. Requires both inputs non-empty.
 [[nodiscard]] ConfidenceInterval bootstrap_median_diff_ci(
     std::span<const double> a, std::span<const double> b, Rng& rng,
     const BootstrapOptions& opts = {});

@@ -5,7 +5,6 @@
 // produces evenly spaced series for the bench printers.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,11 +31,9 @@ class BGPCMP_SINGLE_THREAD WeightedCdf {
   WeightedCdf() = default;
 
   void add(double value, double weight = 1.0);
-  void add_all(std::span<const Weighted> obs);
 
   [[nodiscard]] bool empty() const { return obs_.empty(); }
   [[nodiscard]] std::size_t count() const { return obs_.size(); }
-  [[nodiscard]] double total_weight() const;
 
   /// Weighted fraction of observations with value <= x.
   [[nodiscard]] double fraction_at_most(double x) const;
@@ -51,9 +48,6 @@ class BGPCMP_SINGLE_THREAD WeightedCdf {
   /// CCDF series sampled likewise.
   [[nodiscard]] std::vector<SeriesPoint> ccdf_series(double lo, double hi,
                                                      std::size_t points) const;
-
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
  private:
   void ensure_sorted() const;

@@ -33,7 +33,4 @@ struct Weighted {
 /// positive total weight.
 [[nodiscard]] double weighted_quantile(std::span<const Weighted> obs, double q);
 
-/// Convenience: weighted median.
-[[nodiscard]] double weighted_median(std::span<const Weighted> obs);
-
 }  // namespace bgpcmp::stats

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 namespace bgpcmp::stats {
@@ -11,17 +10,12 @@ namespace bgpcmp::stats {
 class Summary {
  public:
   void add(double value);
-  void add_all(std::span<const double> values);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
-  /// Mean of observations; requires count() > 0.
-  [[nodiscard]] double mean() const;
   /// Sample variance (n-1 denominator); requires count() > 1.
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
   /// Human-readable one-liner, e.g. "n=120 mean=4.31 sd=1.02 min=2.1 max=9.9".

@@ -15,9 +15,6 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  /// Convenience: formats doubles with `precision` decimals.
-  void add_row_numeric(const std::string& label, const std::vector<double>& values,
-                       int precision = 2);
 
   [[nodiscard]] std::string render() const;
 

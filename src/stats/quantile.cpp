@@ -49,8 +49,4 @@ double weighted_quantile(std::span<const Weighted> obs, double q) {
   return copy.back().value;
 }
 
-double weighted_median(std::span<const Weighted> obs) {
-  return weighted_quantile(obs, 0.5);
-}
-
 }  // namespace bgpcmp::stats

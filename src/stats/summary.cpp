@@ -22,31 +22,12 @@ void Summary::add(double value) {
   max_ = std::max(max_, value);
 }
 
-void Summary::add_all(std::span<const double> values) {
-  for (const double v : values) add(v);
-}
-
-double Summary::mean() const {
-  BGPCMP_CHECK_GT(count_, 0, "summary has no samples");
-  return mean_;
-}
-
 double Summary::variance() const {
   BGPCMP_CHECK_GT(count_, 1, "sample variance needs at least two samples");
   return m2_ / static_cast<double>(count_ - 1);
 }
 
 double Summary::stddev() const { return std::sqrt(variance()); }
-
-double Summary::min() const {
-  BGPCMP_CHECK_GT(count_, 0, "summary has no samples");
-  return min_;
-}
-
-double Summary::max() const {
-  BGPCMP_CHECK_GT(count_, 0, "summary has no samples");
-  return max_;
-}
 
 std::string Summary::str() const {
   if (count_ == 0) return "n=0";

@@ -117,19 +117,6 @@ AsGraph::AsGraph(const AsGraph& other)
       index_by_asn_(other.index_by_asn_),
       edge_index_cache_(other.edge_index_cache_.load(std::memory_order_acquire)) {}
 
-AsGraph& AsGraph::operator=(const AsGraph& other) {
-  if (this == &other) return *this;
-  nodes_ = other.nodes_;
-  edges_ = other.edges_;
-  links_ = other.links_;
-  presence_set_ = other.presence_set_;
-  edge_by_pair_ = other.edge_by_pair_;
-  index_by_asn_ = other.index_by_asn_;
-  edge_index_cache_.store(other.edge_index_cache_.load(std::memory_order_acquire),
-                          std::memory_order_release);
-  return *this;
-}
-
 AsGraph::AsGraph(AsGraph&& other) noexcept
     : nodes_(std::move(other.nodes_)),
       edges_(std::move(other.edges_)),
@@ -139,20 +126,6 @@ AsGraph::AsGraph(AsGraph&& other) noexcept
       index_by_asn_(std::move(other.index_by_asn_)),
       edge_index_cache_(other.edge_index_cache_.load(std::memory_order_acquire)) {
   other.edge_index_cache_.store(nullptr, std::memory_order_release);
-}
-
-AsGraph& AsGraph::operator=(AsGraph&& other) noexcept {
-  if (this == &other) return *this;
-  nodes_ = std::move(other.nodes_);
-  edges_ = std::move(other.edges_);
-  links_ = std::move(other.links_);
-  presence_set_ = std::move(other.presence_set_);
-  edge_by_pair_ = std::move(other.edge_by_pair_);
-  index_by_asn_ = std::move(other.index_by_asn_);
-  edge_index_cache_.store(other.edge_index_cache_.load(std::memory_order_acquire),
-                          std::memory_order_release);
-  other.edge_index_cache_.store(nullptr, std::memory_order_release);
-  return *this;
 }
 
 AsIndex AsGraph::add_as(Asn asn, AsClass cls, std::string name,

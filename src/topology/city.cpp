@@ -1,9 +1,6 @@
 #include "bgpcmp/topology/city.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "bgpcmp/netbase/check.h"
 
 namespace bgpcmp::topo {
 
@@ -227,14 +224,6 @@ std::vector<CityId> CityDb::in_region(Region r) const {
   return out;
 }
 
-std::vector<CityId> CityDb::in_country(std::string_view country) const {
-  std::vector<CityId> out;
-  for (std::size_t i = 0; i < cities_.size(); ++i) {
-    if (cities_[i].country == country) out.push_back(static_cast<CityId>(i));
-  }
-  return out;
-}
-
 CityDb::CityDb(std::vector<City> cities) : cities_(std::move(cities)) {
   // Dense pairwise distance matrix (~170^2 doubles for the world database).
   // Both triangles are computed independently so each lookup returns the
@@ -247,20 +236,6 @@ CityDb::CityDb(std::vector<City> cities) : cities_(std::move(cities)) {
           great_circle_distance(cities_[a].location, cities_[b].location).value();
     }
   }
-}
-
-CityId CityDb::nearest(GeoPoint point) const {
-  BGPCMP_CHECK(!cities_.empty(), "city database is empty");
-  CityId best = 0;
-  double best_km = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < cities_.size(); ++i) {
-    const double km = great_circle_distance(point, cities_[i].location).value();
-    if (km < best_km) {
-      best_km = km;
-      best = static_cast<CityId>(i);
-    }
-  }
-  return best;
 }
 
 }  // namespace bgpcmp::topo

@@ -176,11 +176,12 @@ class AsGraph {
  public:
   AsGraph() = default;
   // Copies and moves carry the cached edge index along (it is an immutable
-  // snapshot of the same topology); a moved-from graph drops its cache.
+  // snapshot of the same topology); a moved-from graph drops its cache. A
+  // graph is built in place, never assigned over.
   AsGraph(const AsGraph& other);
-  AsGraph& operator=(const AsGraph& other);
+  AsGraph& operator=(const AsGraph& other) = delete;
   AsGraph(AsGraph&& other) noexcept;
-  AsGraph& operator=(AsGraph&& other) noexcept;
+  AsGraph& operator=(AsGraph&& other) = delete;
   ~AsGraph() = default;
 
   /// Add an AS. `presence` must be non-empty; the first city is the hub

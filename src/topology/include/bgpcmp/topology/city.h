@@ -61,8 +61,6 @@ class CityDb {
 
   /// All cities in a region.
   [[nodiscard]] std::vector<CityId> in_region(Region r) const;
-  /// All cities in a country (by country name).
-  [[nodiscard]] std::vector<CityId> in_country(std::string_view country) const;
 
   /// Great-circle distance between two metros. Served from a dense matrix
   /// precomputed at construction (the generator's farthest-point spreading
@@ -73,9 +71,6 @@ class CityDb {
     BGPCMP_CHECK_LT(b, cities_.size(), "city id out of range");
     return Kilometers{dist_km_[static_cast<std::size_t>(a) * cities_.size() + b]};
   }
-
-  /// Id of the city nearest to `point`.
-  [[nodiscard]] CityId nearest(GeoPoint point) const;
 
   explicit CityDb(std::vector<City> cities);
 

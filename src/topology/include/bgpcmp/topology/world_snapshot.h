@@ -139,15 +139,15 @@ BGPCMP_SNAPSHOT_CODEC(world, reader)
 [[nodiscard]] Internet deserialize_internet(SnapshotReader& r);
 
 /// A loaded snapshot: validated header plus payload bytes, mmap-backed where
-/// the platform allows (read into memory otherwise). Move-only; unmaps on
-/// destruction.
+/// the platform allows (read into memory otherwise). Neither copyable nor
+/// movable: read_snapshot_file returns it by guaranteed elision, and it
+/// unmaps on destruction.
 class SnapshotFile {
  public:
-  SnapshotFile() = default;
   SnapshotFile(const SnapshotFile&) = delete;
   SnapshotFile& operator=(const SnapshotFile&) = delete;
-  SnapshotFile(SnapshotFile&& other) noexcept;
-  SnapshotFile& operator=(SnapshotFile&& other) noexcept;
+  SnapshotFile(SnapshotFile&&) = delete;
+  SnapshotFile& operator=(SnapshotFile&&) = delete;
   ~SnapshotFile();
 
   [[nodiscard]] const SnapshotHeader& header() const { return header_; }
@@ -159,6 +159,8 @@ class SnapshotFile {
 
  private:
   friend SnapshotFile read_snapshot_file(const std::string& path);
+  SnapshotFile() = default;
+  explicit SnapshotFile(const std::string& path);
 
   SnapshotHeader header_{};
   std::string owned_;            ///< backing store on the read fallback
@@ -177,7 +179,6 @@ void write_snapshot_file(const std::string& path, SnapshotHeader header,
 
 /// Open, mmap-or-read, and validate magic, version, declared payload size,
 /// and payload hash. Any mismatch trips a BGPCMP_CHECK.
-BGPCMP_SNAPSHOT_CODEC(header, reader)
 [[nodiscard]] SnapshotFile read_snapshot_file(const std::string& path);
 
 /// Cache key half for snapshots: FNV-1a over (internet_config_fingerprint,

@@ -317,7 +317,7 @@ Internet build_internet(const InternetConfig& config) {
     }
   }
   // Hub per country: the biggest metro (first such city on ties, matching the
-  // historical per-eyeball max scan over db.in_country()).
+  // historical per-eyeball max scan over the country's cities).
   std::vector<CityId> country_hub(countries.size());
   for (std::size_t ci = 0; ci < countries.size(); ++ci) {
     CityId hub = country_cities_tab[ci].front();

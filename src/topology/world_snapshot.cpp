@@ -276,31 +276,6 @@ Internet deserialize_internet(SnapshotReader& r) {
 // ---------------------------------------------------------------------------
 // File container.
 
-SnapshotFile::SnapshotFile(SnapshotFile&& other) noexcept
-    : header_(other.header_),
-      owned_(std::move(other.owned_)),
-      map_(std::exchange(other.map_, nullptr)),
-      map_size_(std::exchange(other.map_size_, 0)),
-      data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {
-  if (map_ == nullptr && data_ != nullptr) data_ = owned_.data();
-}
-
-SnapshotFile& SnapshotFile::operator=(SnapshotFile&& other) noexcept {
-  if (this == &other) return *this;
-#if BGPCMP_SNAPSHOT_HAS_MMAP
-  if (map_ != nullptr) ::munmap(map_, map_size_);
-#endif
-  header_ = other.header_;
-  owned_ = std::move(other.owned_);
-  map_ = std::exchange(other.map_, nullptr);
-  map_size_ = std::exchange(other.map_size_, 0);
-  data_ = std::exchange(other.data_, nullptr);
-  size_ = std::exchange(other.size_, 0);
-  if (map_ == nullptr && data_ != nullptr) data_ = owned_.data();
-  return *this;
-}
-
 SnapshotFile::~SnapshotFile() {
 #if BGPCMP_SNAPSHOT_HAS_MMAP
   if (map_ != nullptr) ::munmap(map_, map_size_);
@@ -333,8 +308,27 @@ void write_snapshot_file(const std::string& path, SnapshotHeader header,
   BGPCMP_CHECK(out.good(), "snapshot write failed");
 }
 
-SnapshotFile read_snapshot_file(const std::string& path) {
-  SnapshotFile f;
+namespace {
+
+/// The header fields after the magic, in write_snapshot_file's order.
+BGPCMP_SNAPSHOT_CODEC(header, reader)
+SnapshotHeader decode_header(std::string_view fields) {
+  SnapshotReader r(fields);
+  SnapshotHeader header;
+  header.version = r.u32();
+  header.sections = r.u32();
+  header.config_fp = r.u64();
+  header.world_fp = r.u64();
+  header.payload_size = r.u64();
+  header.payload_hash = r.u64();
+  return header;
+}
+
+}  // namespace
+
+// Delegates to the default constructor so the object is complete before the
+// body runs: a check that throws after the mmap still unmaps it.
+SnapshotFile::SnapshotFile(const std::string& path) : SnapshotFile() {
 #if BGPCMP_SNAPSHOT_HAS_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   BGPCMP_CHECK(fd >= 0, "cannot open snapshot file");
@@ -346,40 +340,36 @@ SnapshotFile read_snapshot_file(const std::string& path) {
   if (size > 0) {
     void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {
-      f.map_ = map;
-      f.map_size_ = size;
-      f.data_ = static_cast<const char*>(map);
-      f.size_ = size;
+      map_ = map;
+      map_size_ = size;
+      data_ = static_cast<const char*>(map);
+      size_ = size;
     }
   }
   ::close(fd);
 #endif
-  if (f.data_ == nullptr) {
+  if (data_ == nullptr) {
     std::ifstream in(path, std::ios::binary);
     BGPCMP_CHECK(in.good(), "cannot open snapshot file");
-    f.owned_.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    f.data_ = f.owned_.data();
-    f.size_ = f.owned_.size();
+    owned_.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    data_ = owned_.data();
+    size_ = owned_.size();
   }
 
-  BGPCMP_CHECK_LE(kSnapshotHeaderSize, f.size_, "snapshot file shorter than its header");
-  BGPCMP_CHECK_EQ(std::memcmp(f.data_, kSnapshotMagic, sizeof kSnapshotMagic), 0,
+  BGPCMP_CHECK_LE(kSnapshotHeaderSize, size_, "snapshot file shorter than its header");
+  BGPCMP_CHECK_EQ(std::memcmp(data_, kSnapshotMagic, sizeof kSnapshotMagic), 0,
                   "not a bgpcmp snapshot (bad magic)");
-  SnapshotReader r({f.data_ + sizeof kSnapshotMagic, kSnapshotHeaderSize - sizeof kSnapshotMagic});
-  f.header_.version = r.u32();
-  f.header_.sections = r.u32();
-  f.header_.config_fp = r.u64();
-  f.header_.world_fp = r.u64();
-  f.header_.payload_size = r.u64();
-  f.header_.payload_hash = r.u64();
-  BGPCMP_CHECK_EQ(f.header_.version, kSnapshotVersion,
+  header_ = decode_header(
+      {data_ + sizeof kSnapshotMagic, kSnapshotHeaderSize - sizeof kSnapshotMagic});
+  BGPCMP_CHECK_EQ(header_.version, kSnapshotVersion,
                   "snapshot version mismatch; rebuild the snapshot");
-  BGPCMP_CHECK_EQ(f.header_.payload_size, f.size_ - kSnapshotHeaderSize,
+  BGPCMP_CHECK_EQ(header_.payload_size, size_ - kSnapshotHeaderSize,
                   "snapshot payload size mismatch (truncated or oversized file)");
-  BGPCMP_CHECK_EQ(f.header_.payload_hash, snapshot_hash(f.payload()),
+  BGPCMP_CHECK_EQ(header_.payload_hash, snapshot_hash(payload()),
                   "snapshot payload hash mismatch (corrupted file)");
-  return f;
 }
+
+SnapshotFile read_snapshot_file(const std::string& path) { return SnapshotFile{path}; }
 
 // ---------------------------------------------------------------------------
 // World-only convenience wrappers (topology cache files).

@@ -128,8 +128,6 @@ Backbone::Backbone(const CityDb* cities, std::vector<CityId> sites,
   }
 }
 
-bool Backbone::has_site(CityId city) const { return site_index(city).has_value(); }
-
 std::optional<std::size_t> Backbone::site_index(CityId city) const {
   const auto it = std::lower_bound(sites_.begin(), sites_.end(), city);
   if (it == sites_.end() || *it != city) return std::nullopt;

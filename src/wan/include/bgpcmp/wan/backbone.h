@@ -53,7 +53,6 @@ class Backbone {
            const std::vector<Corridor>& corridors = default_corridors());
 
   [[nodiscard]] std::span<const CityId> sites() const { return sites_; }
-  [[nodiscard]] bool has_site(CityId city) const;
 
   /// One-way transit time between two sites over the backbone; nullopt if
   /// either city is not a site or they are disconnected.

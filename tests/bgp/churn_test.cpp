@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -399,14 +400,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChurnProperty,
 TEST(ChurnRouteCache, ReconvergeUpdatesWarmedSlot) {
   const auto net = property_internet(7);
   const topo::AsIndex origin = net.eyeballs[0];
+  exec::ThreadPool pool{1};
   RouteCache cache{&net.graph};
   const topo::AsIndex warm_list[] = {origin};
-  cache.warm(warm_list);
+  cache.warm(warm_list, pool);
 
   const auto edges = net.graph.edge_index().edges_of(origin);
-  const std::vector<ChurnEvent> events = {ChurnEvent::withdraw(edges.front())};
-  const ChurnStats st = cache.reconverge(origin, events);
-  EXPECT_EQ(st.changed_sessions, 1u);
+  const std::vector<OriginChurn> wave = {
+      OriginChurn{origin, {ChurnEvent::withdraw(edges.front())}}};
+  const std::vector<ChurnStats> st = cache.reconverge(wave, pool);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_EQ(st[0].changed_sessions, 1u);
 
   OriginSpec want = OriginSpec::everywhere(origin);
   want.suppress.insert(edges.front());
@@ -417,10 +421,11 @@ TEST(ChurnRouteCache, ReconvergeUpdatesWarmedSlot) {
 
 TEST(ChurnRouteCache, ReconvergeRequiresWarmedOrigin) {
   const auto net = property_internet(7);
+  exec::ThreadPool pool{1};
   RouteCache cache{&net.graph};
   ScopedCheckThrows guard;
-  const std::vector<ChurnEvent> events;
-  EXPECT_THROW(cache.reconverge(net.eyeballs[0], events), CheckError);
+  const std::vector<OriginChurn> wave = {OriginChurn{net.eyeballs[0], {}}};
+  EXPECT_THROW(cache.reconverge(wave, pool), CheckError);
 }
 
 TEST(ChurnRouteCache, ParallelWaveMatchesSerialAtAnyWidth) {
@@ -436,24 +441,30 @@ TEST(ChurnRouteCache, ParallelWaveMatchesSerialAtAnyWidth) {
          ChurnEvent::prepend_set(edges.back(), 2)}});
   }
 
-  RouteCache serial{&net.graph};
-  serial.warm(origins);
+  // The serial reference: one standalone engine per origin.
+  std::vector<std::unique_ptr<ChurnEngine>> serial;
   std::vector<ChurnStats> serial_stats;
   for (const OriginChurn& oc : wave) {
-    serial_stats.push_back(serial.reconverge(oc.origin, oc.events));
+    serial.push_back(
+        std::make_unique<ChurnEngine>(&net.graph, OriginSpec::everywhere(oc.origin)));
+    serial_stats.push_back(serial.back()->reconverge(oc.events));
   }
 
   for (const int threads : {1, 2, 8}) {
-    RouteCache parallel{&net.graph};
-    parallel.warm(origins);
     exec::ThreadPool pool{threads};
+    RouteCache parallel{&net.graph};
+    parallel.warm(origins, pool);
     const auto stats = parallel.reconverge(wave, pool);
     ASSERT_EQ(stats.size(), serial_stats.size());
     for (std::size_t i = 0; i < wave.size(); ++i) {
+      EXPECT_EQ(stats[i].events, serial_stats[i].events);
+      EXPECT_EQ(stats[i].changed_sessions, serial_stats[i].changed_sessions);
+      EXPECT_EQ(stats[i].invalidated_customer, serial_stats[i].invalidated_customer);
+      EXPECT_EQ(stats[i].invalidated_peer, serial_stats[i].invalidated_peer);
+      EXPECT_EQ(stats[i].invalidated_provider, serial_stats[i].invalidated_provider);
+      EXPECT_EQ(stats[i].worklist_pops, serial_stats[i].worklist_pops);
       EXPECT_EQ(stats[i].changed_routes, serial_stats[i].changed_routes);
-      EXPECT_EQ(stats[i].invalidated(), serial_stats[i].invalidated());
-      expect_identical(*parallel.find(wave[i].origin),
-                       *serial.find(wave[i].origin), net.graph);
+      expect_identical(*parallel.find(wave[i].origin), serial[i]->table(), net.graph);
     }
   }
 }
@@ -461,12 +472,12 @@ TEST(ChurnRouteCache, ParallelWaveMatchesSerialAtAnyWidth) {
 TEST(ChurnRouteCache, WaveRejectsRepeatedOrigin) {
   const auto net = property_internet(7);
   const topo::AsIndex origin = net.eyeballs[0];
+  exec::ThreadPool pool{2};
   RouteCache cache{&net.graph};
   const topo::AsIndex warm_list[] = {origin};
-  cache.warm(warm_list);
+  cache.warm(warm_list, pool);
   const std::vector<OriginChurn> wave = {OriginChurn{origin, {}},
                                          OriginChurn{origin, {}}};
-  exec::ThreadPool pool{2};
   ScopedCheckThrows guard;
   EXPECT_THROW(cache.reconverge(wave, pool), CheckError);
 }

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "bgpcmp/netbase/rng.h"
 
 namespace bgpcmp::bgp {
 namespace {
 
-Prefix p(const char* text) { return *Prefix::parse(text); }
+/// "a.b.c.d/len" as a Prefix (test inputs are always well formed).
+Prefix p(std::string_view text) {
+  const auto slash = text.find('/');
+  const int len = std::stoi(std::string{text.substr(slash + 1)});
+  return Prefix::make(*Ipv4Address::parse(text.substr(0, slash)),
+                      static_cast<std::uint8_t>(len));
+}
 Ipv4Address ip(const char* text) { return *Ipv4Address::parse(text); }
 
 TEST(PrefixMap, EmptyLookupsMiss) {

@@ -33,36 +33,41 @@ void expect_identical(const RouteTable& got, const RouteTable& want) {
 
 TEST(RouteCache, ComputesOncePerOrigin) {
   const auto net = small_internet(2);
+  exec::ThreadPool pool{2};
   RouteCache cache{&net.graph};
   EXPECT_EQ(cache.size(), 0u);
-  const auto& a = cache.toward(net.eyeballs[0]);
-  const auto& b = cache.toward(net.eyeballs[0]);
-  EXPECT_EQ(&a, &b);  // same table object, no recomputation
+  const std::vector<topo::AsIndex> first{net.eyeballs[0]};
+  cache.warm(first, pool);
+  const RouteTable* a = cache.find(net.eyeballs[0]);
+  ASSERT_NE(a, nullptr);
+  cache.warm(first, pool);
+  EXPECT_EQ(cache.find(net.eyeballs[0]), a);  // same table object, no recomputation
   EXPECT_EQ(cache.size(), 1u);
-  (void)cache.toward(net.eyeballs[1]);
+  const std::vector<topo::AsIndex> both{net.eyeballs[0], net.eyeballs[1]};
+  cache.warm(both, pool);
+  EXPECT_EQ(cache.find(net.eyeballs[0]), a);  // warming never moves a table
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(RouteCache, MatchesDirectComputation) {
   const auto net = small_internet(3);
+  exec::ThreadPool pool{2};
   RouteCache cache{&net.graph};
   const auto origin = net.eyeballs[2];
-  const auto direct = compute_routes(net.graph, origin);
-  const auto& cached = cache.toward(origin);
-  for (topo::AsIndex i = 0; i < net.graph.as_count(); ++i) {
-    EXPECT_EQ(cached.at(i).cls, direct.at(i).cls);
-    EXPECT_EQ(cached.at(i).length, direct.at(i).length);
-    EXPECT_EQ(cached.at(i).next_hop, direct.at(i).next_hop);
-  }
+  const std::vector<topo::AsIndex> origins{origin};
+  cache.warm(origins, pool);
+  ASSERT_NE(cache.find(origin), nullptr);
+  expect_identical(*cache.find(origin), compute_routes(net.graph, origin));
 }
 
 TEST(RouteCache, WarmDedupsAndMatchesDirect) {
   const auto net = small_internet(5);
+  exec::ThreadPool pool{2};
   RouteCache cache{&net.graph};
   const std::vector<topo::AsIndex> origins{net.eyeballs[0], net.eyeballs[1],
                                            net.eyeballs[0], net.eyeballs[2],
                                            net.eyeballs[1]};
-  cache.warm(origins);
+  cache.warm(origins, pool);
   EXPECT_EQ(cache.size(), 3u);  // duplicates computed once
   for (const auto o : {net.eyeballs[0], net.eyeballs[1], net.eyeballs[2]}) {
     const RouteTable* warmed = cache.find(o);
@@ -72,29 +77,17 @@ TEST(RouteCache, WarmDedupsAndMatchesDirect) {
   EXPECT_EQ(cache.find(net.eyeballs[3]), nullptr);  // never warmed
 }
 
-TEST(RouteCache, TowardAfterWarmReturnsTheWarmedTable) {
-  const auto net = small_internet(5);
-  RouteCache cache{&net.graph};
-  const std::vector<topo::AsIndex> origins{net.eyeballs[0]};
-  cache.warm(origins);
-  const RouteTable* warmed = cache.find(net.eyeballs[0]);
-  EXPECT_EQ(&cache.toward(net.eyeballs[0]), warmed);  // no recomputation
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST(RouteCache, ParallelWarmIdenticalToSerialAtAnyWidth) {
   const auto net = small_internet(7);
   std::vector<topo::AsIndex> origins{net.eyeballs.begin(), net.eyeballs.end()};
-  RouteCache serial{&net.graph};
-  serial.warm(origins);
-  for (const int width : {1, 4}) {
+  for (const int width : {1, 2, 8}) {
     exec::ThreadPool pool{width};
-    RouteCache parallel{&net.graph};
-    parallel.warm(origins, pool);
-    EXPECT_EQ(parallel.size(), serial.size());
+    RouteCache cache{&net.graph};
+    cache.warm(origins, pool);
+    EXPECT_EQ(cache.size(), origins.size());
     for (const auto o : origins) {
-      ASSERT_NE(parallel.find(o), nullptr);
-      expect_identical(*parallel.find(o), *serial.find(o));
+      ASSERT_NE(cache.find(o), nullptr);
+      expect_identical(*cache.find(o), compute_routes(net.graph, o));
     }
   }
 }

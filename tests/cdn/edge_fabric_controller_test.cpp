@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/bgp/rib.h"
 #include "../testutil.h"
 
 namespace bgpcmp::cdn {
@@ -14,13 +14,14 @@ class EdgeFabricControllerTest : public ::testing::Test {
     const auto& sc = test::small_scenario();
     const auto& g = sc.internet.graph;
     const auto& db = sc.internet.city_db();
-    bgp::RouteCache tables{&g};
     std::vector<EdgeFabricController::PrefixPlan> plans;
     for (traffic::PrefixId id = 0; id < sc.clients.size(); ++id) {
       const auto& client = sc.clients.at(id);
       const auto pop = sc.provider.serving_pop(g, db, client.origin_as, client.city);
+      const auto rib = bgp::adj_rib_in(g, bgp::OriginSpec::everywhere(client.origin_as),
+                                       sc.provider.as_index());
       auto options = edge_fabric::rank_by_policy(
-          g, sc.provider.egress_options(g, tables.toward(client.origin_as), pop));
+          g, sc.provider.egress_options(g, rib, pop));
       if (options.empty()) continue;
       if (options.size() > 3) options.resize(3);
       plans.push_back(EdgeFabricController::PrefixPlan{id, pop, std::move(options)});

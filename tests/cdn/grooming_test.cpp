@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bgpcmp/bgp/churn.h"
+#include "bgpcmp/bgp/propagation.h"
 #include "../testutil.h"
 
 namespace bgpcmp::cdn {
@@ -98,10 +100,12 @@ TEST_F(GroomingTest, DeterministicAcrossRuns) {
 }
 
 TEST_F(GroomingTest, ChurnEventsReplayReproducesGroomedRoutes) {
-  // The operator loop as an event stream: replaying churn_events(report)
-  // through an engine seeded with the pre-grooming announcement must land on
-  // the groomed spec — and re-converge, incrementally, to exactly the routes
-  // a full rebuild computes for it.
+  // The operator loop as an event stream: the report's surviving steps in
+  // order, reverted steps elided (a revert restores the spec, so skipping the
+  // pair reproduces the final state). Replaying them through an engine seeded
+  // with the pre-grooming announcement must land on the groomed spec — and
+  // re-converge, incrementally, to exactly the routes a full rebuild computes
+  // for it.
   const auto& sc = sparse_scenario();
   AnycastCdn cdn{&sc.internet, &sc.provider};
   const bgp::OriginSpec before = cdn.anycast_spec();
@@ -110,7 +114,14 @@ TEST_F(GroomingTest, ChurnEventsReplayReproducesGroomedRoutes) {
   if (report.steps.empty()) GTEST_SKIP() << "nothing to groom in this world";
   const bgp::OriginSpec& after = cdn.anycast_spec();
 
-  const std::vector<bgp::ChurnEvent> events = churn_events(report);
+  std::vector<bgp::ChurnEvent> events;
+  for (const GroomingStep& s : report.steps) {
+    if (s.reverted) continue;
+    // total_prepend is the post-step absolute count, matching the
+    // set-not-increment semantics of ChurnKind::Prepend.
+    events.push_back(s.withdrawn ? bgp::ChurnEvent::suppress_edge(s.edge)
+                                 : bgp::ChurnEvent::prepend_set(s.edge, s.total_prepend));
+  }
   bgp::ChurnEngine eng{&sc.internet.graph, before};
   eng.reconverge(events);
   EXPECT_EQ(eng.effective_spec().prepend, after.prepend);

@@ -79,7 +79,7 @@ inline void class_requirement_ok(const BuiltWarmG& tiers) {
 
 // (5) Single-thread waiver: unannotated methods of a BGPCMP_SINGLE_THREAD
 // class are accepted without a phase annotation — their contract is the
-// OwningThread runtime pin (RouteCache::toward, WeightedCdf's sort cache).
+// OwningThread runtime pin (WeightedCdf's sort cache).
 class BGPCMP_SINGLE_THREAD LazyCdfH {
  public:
   double quantile_h(double q) const;

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bgpcmp::exec {
@@ -26,11 +27,13 @@ TEST(ThreadPoolTest, ZeroItemsIsANoop) {
 TEST(ThreadPoolTest, SingleItemRunsInline) {
   ThreadPool pool{4};
   std::size_t seen = 123;
+  std::thread::id ran_on;
   pool.parallel_for(1, [&](std::size_t i) {
     seen = i;
-    EXPECT_FALSE(ThreadPool::on_worker_thread());
+    ran_on = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {

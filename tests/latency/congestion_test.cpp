@@ -94,7 +94,6 @@ TEST_F(CongestionTest, LoadScaleRaisesUtilization) {
   const double base = field_.link_utilization(l, t);
   field_.set_load_scale(l, 1.8);
   EXPECT_GT(field_.link_utilization(l, t), base);
-  EXPECT_DOUBLE_EQ(field_.load_scale(l), 1.8);
   field_.set_load_scale(l, 0.0);
   // Zero offered load leaves only event magnitude (often 0).
   EXPECT_LE(field_.link_utilization(l, t), 0.99);

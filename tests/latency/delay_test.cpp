@@ -9,14 +9,17 @@ namespace {
 
 class DelayTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static topo::Internet small_internet() {
     topo::InternetConfig cfg;
     cfg.seed = 12;
     cfg.tier1_count = 4;
     cfg.transit_count = 8;
     cfg.eyeball_count = 15;
     cfg.stub_count = 5;
-    net_ = topo::build_internet(cfg);
+    return topo::build_internet(cfg);
+  }
+
+  void SetUp() override {
     // Quiet congestion for deterministic floor checks.
     ccfg_.event_rate_per_day = 0.0;
     ccfg_.access_event_rate_per_day = 0.0;
@@ -42,7 +45,7 @@ class DelayTest : public ::testing::Test {
     return {};
   }
 
-  topo::Internet net_;
+  topo::Internet net_ = small_internet();
   CongestionConfig ccfg_;
   std::optional<CongestionField> field_;
   std::optional<LatencyModel> model_;

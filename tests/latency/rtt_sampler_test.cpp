@@ -42,16 +42,6 @@ TEST(RttSampler, ResidualMeanMatchesConfig) {
   EXPECT_NEAR(sum / kN, 4.0, 0.15);
 }
 
-TEST(RttSampler, PingMinEquivalentToMinRtt) {
-  const RttSampler sampler;
-  Rng a{4};
-  Rng b{4};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(sampler.sample_ping_min(Milliseconds{5}, 5, a).value(),
-                     sampler.sample_min_rtt(Milliseconds{5}, 5, b).value());
-  }
-}
-
 TEST(RttSampler, DeterministicGivenRng) {
   const RttSampler sampler;
   Rng a{5};

@@ -55,7 +55,6 @@ TEST(RngDeterminism, AllSamplersAreBitwiseReproducible) {
   Rng a{1234};
   Rng b{1234};
   const double weights[] = {0.5, 1.5, 3.0};
-  const ZipfSampler zipf{50, 0.8};
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(a.uniform(), b.uniform());
     EXPECT_EQ(a.uniform_int(-5, 17), b.uniform_int(-5, 17));
@@ -66,7 +65,6 @@ TEST(RngDeterminism, AllSamplersAreBitwiseReproducible) {
     EXPECT_EQ(a.pareto(1.0, 1.5), b.pareto(1.0, 1.5));
     EXPECT_EQ(a.index(9), b.index(9));
     EXPECT_EQ(a.weighted_index(weights), b.weighted_index(weights));
-    EXPECT_EQ(zipf.sample(a), zipf.sample(b));
   }
 }
 

@@ -149,36 +149,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(ZipfSampler, PmfSumsToOneAndDecreases) {
-  const ZipfSampler zipf{100, 1.0};
-  double total = 0.0;
-  double prev = 1.0;
-  for (std::size_t r = 0; r < zipf.size(); ++r) {
-    const double p = zipf.pmf(r);
-    EXPECT_LE(p, prev + 1e-12);
-    prev = p;
-    total += p;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(ZipfSampler, SampleFrequencyTracksPmf) {
-  const ZipfSampler zipf{10, 1.0};
-  Rng rng{15};
-  int counts[10] = {};
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) ++counts[zipf.sample(rng)];
-  for (std::size_t r = 0; r < 10; ++r) {
-    EXPECT_NEAR(static_cast<double>(counts[r]) / kN, zipf.pmf(r), 0.01);
-  }
-}
-
-TEST(ZipfSampler, SingleElementAlwaysRankZero) {
-  const ZipfSampler zipf{1, 0.8};
-  Rng rng{16};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.sample(rng), 0u);
-}
-
 /// Distribution sanity across many seeds (property-style sweep).
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

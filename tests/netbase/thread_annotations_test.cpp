@@ -100,7 +100,7 @@ class BGPCMP_SINGLE_THREAD AnnotatedPhaseFixture {
   [[nodiscard]] int find(int key) const { return warmed_.at(key); }
 
   /// Lazy path: covered by the class waiver + runtime pin, not by phase
-  /// annotations (the RouteCache::toward / WeightedCdf sort-cache pattern).
+  /// annotations (the WeightedCdf sort-cache pattern).
   [[nodiscard]] int toward(int key) {
     BGPCMP_ASSERT_SINGLE_THREAD(lazy_owner_, "AnnotatedPhaseFixture::toward");
     while (static_cast<int>(warmed_.size()) <= key) {

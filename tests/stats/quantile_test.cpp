@@ -56,18 +56,18 @@ TEST(Quantile, MonotoneInQ) {
 
 TEST(WeightedQuantile, EqualWeightsMatchMedianLocation) {
   const Weighted obs[] = {{1.0, 1.0}, {2.0, 1.0}, {3.0, 1.0}};
-  EXPECT_DOUBLE_EQ(weighted_median(obs), 2.0);
+  EXPECT_DOUBLE_EQ(weighted_quantile(obs, 0.5), 2.0);
 }
 
 TEST(WeightedQuantile, HeavyWeightDominates) {
   const Weighted obs[] = {{1.0, 1.0}, {2.0, 1.0}, {100.0, 98.0}};
-  EXPECT_DOUBLE_EQ(weighted_median(obs), 100.0);
+  EXPECT_DOUBLE_EQ(weighted_quantile(obs, 0.5), 100.0);
 }
 
 TEST(WeightedQuantile, ZeroWeightObservationsIgnored) {
   const Weighted obs[] = {{-50.0, 0.0}, {1.0, 1.0}, {2.0, 1.0}, {999.0, 0.0}};
   EXPECT_DOUBLE_EQ(weighted_quantile(obs, 0.0), -50.0);  // technically first value
-  EXPECT_DOUBLE_EQ(weighted_median(obs), 1.0);
+  EXPECT_DOUBLE_EQ(weighted_quantile(obs, 0.5), 1.0);
   EXPECT_DOUBLE_EQ(weighted_quantile(obs, 1.0), 2.0);
 }
 

@@ -18,19 +18,16 @@ TEST(Summary, SingleValue) {
   Summary s;
   s.add(4.0);
   EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_DOUBLE_EQ(s.sum(), 4.0);
+  EXPECT_EQ(s.str(), "n=1 mean=4.000 sd=0.000 min=4.000 max=4.000");
 }
 
 TEST(Summary, KnownMoments) {
   Summary s;
   for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+  EXPECT_EQ(s.str(), "n=8 mean=5.000 sd=2.138 min=2.000 max=9.000");
 }
 
 TEST(Summary, WelfordMatchesNaiveOnRandomData) {
@@ -48,18 +45,7 @@ TEST(Summary, WelfordMatchesNaiveOnRandomData) {
   double var = 0.0;
   for (const double x : v) var += (x - mean) * (x - mean);
   var /= static_cast<double>(v.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
   EXPECT_NEAR(s.variance(), var, 1e-9);
-}
-
-TEST(Summary, AddAllMatchesLoop) {
-  const double values[] = {1.0, -2.0, 3.5};
-  Summary a;
-  a.add_all(values);
-  Summary b;
-  for (const double v : values) b.add(v);
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.count(), b.count());
 }
 
 TEST(Summary, StrContainsFields) {
@@ -74,9 +60,8 @@ TEST(Summary, StrContainsFields) {
 TEST(Summary, NegativeValues) {
   Summary s;
   for (const double v : {-5.0, -1.0, -3.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), -3.0);
-  EXPECT_DOUBLE_EQ(s.min(), -5.0);
-  EXPECT_DOUBLE_EQ(s.max(), -1.0);
+  EXPECT_DOUBLE_EQ(s.sum(), -9.0);
+  EXPECT_EQ(s.str(), "n=3 mean=-3.000 sd=2.000 min=-5.000 max=-1.000");
 }
 
 }  // namespace

@@ -28,14 +28,6 @@ TEST(Table, HasHeaderRule) {
   EXPECT_NE(text.find("-"), std::string::npos);
 }
 
-TEST(Table, NumericRowFormatsValues) {
-  Table t{{"label", "a", "b"}};
-  t.add_row_numeric("row", {1.234, 5.678}, 1);
-  const auto text = t.render();
-  EXPECT_NE(text.find("1.2"), std::string::npos);
-  EXPECT_NE(text.find("5.7"), std::string::npos);
-}
-
 TEST(RenderSeries, OneRowPerPoint) {
   std::vector<SeriesPoint> s1{{0.0, 0.1}, {1.0, 0.5}, {2.0, 1.0}};
   std::vector<SeriesPoint> s2{{0.0, 0.9}, {1.0, 0.5}, {2.0, 0.0}};

@@ -287,7 +287,9 @@ TEST(EdgeIndexGenerated, RoundTripsAgainstEdgeIteration) {
   std::vector<std::size_t> pos(g.as_count(), g.as_count());
   for (std::size_t k = 0; k < order.size(); ++k) pos[order[k]] = k;
   for (const AsEdge& e : g.edges()) {
-    if (e.rel == Relationship::ProviderCustomer) EXPECT_LT(pos[e.a], pos[e.b]);
+    if (e.rel == Relationship::ProviderCustomer) {
+      EXPECT_LT(pos[e.a], pos[e.b]);
+    }
   }
 }
 

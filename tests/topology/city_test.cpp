@@ -37,7 +37,9 @@ TEST(CityDb, CaseStudyCitiesPresent) {
 
 TEST(CityDb, IndiaHasMultipleMetros) {
   const CityDb& db = CityDb::world();
-  EXPECT_GE(db.in_country("India").size(), 5u);
+  std::size_t metros = 0;
+  for (const City& c : db.all()) metros += c.country == "India" ? 1 : 0;
+  EXPECT_GE(metros, 5u);
 }
 
 TEST(CityDb, CoordinatesAreValid) {
@@ -65,24 +67,6 @@ TEST(CityDb, DistanceConsistentWithGeo) {
   const auto ld = *db.find("London");
   EXPECT_NEAR(db.distance(ny, ld).value(), 5570.0, 60.0);
   EXPECT_DOUBLE_EQ(db.distance(ny, ny).value(), 0.0);
-}
-
-TEST(CityDb, NearestFindsExactCity) {
-  const CityDb& db = CityDb::world();
-  const auto tokyo = *db.find("Tokyo");
-  EXPECT_EQ(db.nearest(db.at(tokyo).location), tokyo);
-}
-
-TEST(CityDb, NearestForOffsetPoint) {
-  const CityDb& db = CityDb::world();
-  // A point in the North Atlantic should resolve to a coastal city, and the
-  // result must be the true argmin over the database.
-  const GeoPoint mid_atlantic{45.0, -40.0};
-  const CityId nearest = db.nearest(mid_atlantic);
-  for (CityId c = 0; c < db.size(); ++c) {
-    EXPECT_LE(great_circle_distance(mid_atlantic, db.at(nearest).location).value(),
-              great_circle_distance(mid_atlantic, db.at(c).location).value() + 1e-9);
-  }
 }
 
 TEST(CityDb, RegionNamesAreDistinct) {

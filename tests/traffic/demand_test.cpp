@@ -7,19 +7,22 @@ namespace {
 
 class DemandTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static topo::Internet small_internet() {
     topo::InternetConfig cfg;
     cfg.seed = 41;
     cfg.tier1_count = 4;
     cfg.transit_count = 10;
     cfg.eyeball_count = 20;
     cfg.stub_count = 8;
-    net_ = topo::build_internet(cfg);
+    return topo::build_internet(cfg);
+  }
+
+  void SetUp() override {
     clients_ = ClientBase::generate(net_, ClientBaseConfig{});
     demand_.emplace(&clients_, net_.cities, DemandConfig{});
   }
 
-  topo::Internet net_;
+  topo::Internet net_ = small_internet();
   ClientBase clients_;
   std::optional<DemandModel> demand_;
 };

@@ -22,8 +22,10 @@
 // --warm K (origins to warm); a world loaded with `serve --snapshot` answers
 // byte-identically to one built fresh from the same flags — compare the
 // --digest lines.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -67,6 +69,25 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
+/// `text` as a decimal integer of type T, at least `min`. The whole string
+/// must be the number (no '+', spaces or trailing characters) and fit in T,
+/// so a negative value never wraps into an unsigned one. Anything else names
+/// `what` (a flag such as "--limit", or "ASN") on stderr and exits with
+/// status 1.
+template <typename T>
+T parse_int(const char* what, const std::string& text, T min = 0) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min) {
+    std::fprintf(stderr, "%s needs an integer in [%s, %s], got '%s'\n", what,
+                 std::to_string(min).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str(), text.c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
 core::ScenarioConfig preset_config(const Args& args) {
   const auto it = args.flags.find("preset");
   core::ScenarioConfig cfg;
@@ -75,10 +96,11 @@ core::ScenarioConfig preset_config(const Args& args) {
     if (it->second == "goog") cfg = core::ScenarioConfig::google_like();
   }
   if (const auto seed = args.flags.find("seed"); seed != args.flags.end()) {
-    cfg = core::ScenarioConfig::with_master_seed(std::stoull(seed->second));
+    cfg = core::ScenarioConfig::with_master_seed(
+        parse_int<std::uint64_t>("--seed", seed->second));
   }
   if (const auto scale = args.flags.find("scale"); scale != args.flags.end()) {
-    const auto k = std::stoul(scale->second);
+    const int k = parse_int("--scale", scale->second, 1);
     cfg.internet.tier1_count *= k;
     cfg.internet.transit_count *= k;
     cfg.internet.eyeball_count *= k;
@@ -90,13 +112,13 @@ core::ScenarioConfig preset_config(const Args& args) {
 core::ServingConfig serving_config(const Args& args) {
   core::ServingConfig serving;
   if (const auto warm = args.flags.find("warm"); warm != args.flags.end()) {
-    serving.warm_origins = std::stoul(warm->second);
+    serving.warm_origins = parse_int<std::size_t>("--warm", warm->second, 1);
   }
   return serving;
 }
 
 topo::AsIndex find_asn_or_die(const topo::AsGraph& graph, const std::string& text) {
-  const auto idx = graph.find_asn(Asn{static_cast<std::uint32_t>(std::stoul(text))});
+  const auto idx = graph.find_asn(Asn{parse_int<std::uint32_t>("ASN", text)});
   if (!idx) {
     std::fprintf(stderr, "no AS%s in this world\n", text.c_str());
     std::exit(1);
@@ -145,7 +167,7 @@ int cmd_route(const core::Scenario& sc, const Args& args) {
   }
   std::size_t limit = 40;
   if (const auto l = args.flags.find("limit"); l != args.flags.end()) {
-    limit = std::stoul(l->second);
+    limit = parse_int<std::size_t>("--limit", l->second);
   }
   std::fputs(bgp::dump_table(g, table, limit).c_str(), stdout);
   return 0;
@@ -294,11 +316,11 @@ int cmd_serve(const Args& args) {
   }
   std::size_t count = 100;
   if (const auto q = args.flags.find("queries"); q != args.flags.end()) {
-    count = std::stoul(q->second);
+    count = parse_int<std::size_t>("--queries", q->second);
   }
   std::uint64_t qseed = 2026;
   if (const auto s = args.flags.find("qseed"); s != args.flags.end()) {
-    qseed = std::stoull(s->second);
+    qseed = parse_int<std::uint64_t>("--qseed", s->second);
   }
   const auto queries = world->generate_queries(count, qseed);
   const core::QueryServer server{world.get(), &exec::global_pool()};
@@ -319,10 +341,10 @@ core::ScaleStudyConfig scale_study_config(const Args& args) {
     cfg.study.days = std::stod(d->second);
   }
   if (const auto s = args.flags.find("stride"); s != args.flags.end()) {
-    cfg.study.window_stride = std::stoi(s->second);
+    cfg.study.window_stride = parse_int<int>("--stride", s->second);
   }
   if (const auto c = args.flags.find("chunk-origins"); c != args.flags.end()) {
-    cfg.chunk_origins = std::stoul(c->second);
+    cfg.chunk_origins = parse_int<std::size_t>("--chunk-origins", c->second);
   }
   return cfg;
 }
@@ -335,18 +357,14 @@ core::ScaleStudyConfig scale_study_config(const Args& args) {
 int cmd_shard(const Args& args, int argc, char** argv) {
   int shards = 2;
   if (const auto s = args.flags.find("shards"); s != args.flags.end()) {
-    shards = std::stoi(s->second);
-  }
-  if (shards < 1) {
-    std::fputs("--shards needs a positive integer\n", stderr);
-    return 1;
+    shards = parse_int("--shards", s->second, 1);
   }
   const auto scfg = scale_study_config(args);
 
   if (const auto w = args.flags.find("worker"); w != args.flags.end()) {
     const auto out = args.flags.find("out");
-    const int worker = std::stoi(w->second);
-    if (out == args.flags.end() || worker < 0 || worker >= shards) {
+    const int worker = parse_int<int>("--worker", w->second);
+    if (out == args.flags.end() || worker >= shards) {
       std::fputs("worker mode needs --out and a valid --worker index\n", stderr);
       return 1;
     }

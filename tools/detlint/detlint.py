@@ -36,9 +36,9 @@ Rules
       call to the named warm function earlier on the chain and no
       constructor that performs it, and (b) a serve-phase function that
       transitively reaches warm/build-phase work. Methods of
-      BGPCMP_SINGLE_THREAD-waived classes (RouteCache::toward, WeightedCdf's
-      sort cache) are accepted without a phase annotation: their safety
-      story is the OwningThread runtime pin, not the phase discipline.
+      BGPCMP_SINGLE_THREAD-waived classes (WeightedCdf's sort cache) are
+      accepted without a phase annotation: their safety story is the
+      OwningThread runtime pin, not the phase discipline.
       Reported with the offending call chain, like D4 does for includes.
   D6  lock-order cycles. Mutex declarations (optionally ranked with
       BGPCMP_ACQUIRES_ORDER(n)) plus MutexLock/.lock() sites feed a global
