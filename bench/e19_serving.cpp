@@ -15,7 +15,7 @@
 // and the serving_default audit scenario, not here.
 //
 // google-benchmark owns all timing, so the model and tools stay free of
-// wall-clock reads (tools/lint.sh R4, detlint D4).
+// wall-clock reads (detlint R4 and D4).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>

@@ -9,7 +9,7 @@
 //
 // This is kernel accounting, not a clock: google-benchmark still owns all
 // timing, and the include closure stays free of <chrono>/<random> (detlint
-// D4, tools/lint.sh R4).
+// D4 and R4).
 #pragma once
 
 #include <sys/resource.h>

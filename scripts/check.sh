@@ -4,28 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-scripts/lint.sh
+# The repo lint (docs/TOOLING.md, "Static contracts"): the self-test pins
+# every rule (token rules R1-R6 and the semantic rules D1-D10) against the
+# fixture corpus, then the tree must scan clean. D8 diffs serialized structs
+# against the committed tools/detlint/snapshot_schema.lock.
+python3 tools/detlint/detlint.py --self-test tests/detlint_fixtures
+python3 tools/detlint/detlint.py
+# BENCH_*.json shape: provenance keys, unit-suffixed numeric leaves,
+# monotone scale axes (docs/TOOLING.md, "Scripts and CI").
+python3 scripts/bench_schema.py
 scripts/format.sh --check
-
-# Semantic determinism/concurrency lint (docs/TOOLING.md, "Static
-# contracts"): self-test pins every rule (D1-D4, the call-graph
-# phase-contract/lock-order/parallel-reduction rules D5-D7, and the
-# schema-drift/RNG-lineage/chunk-purity rules D8-D10), then the tree must
-# scan clean — D8 diffs serialized structs against the committed
-# tools/detlint/snapshot_schema.lock. Needs only a Python interpreter;
-# skipped loudly when absent because CI always runs it. For a sub-second
-# pre-commit pass, run `python3 tools/detlint/detlint.py --changed`
-# instead: it analyzes only files changed vs HEAD plus their include-graph
-# dependents.
-if command -v python3 >/dev/null 2>&1; then
-  python3 tools/detlint/detlint.py --self-test tests/detlint_fixtures
-  python3 tools/detlint/detlint.py
-  # BENCH_*.json shape: provenance keys, unit-suffixed numeric leaves,
-  # monotone scale axes (docs/TOOLING.md, "Scripts and CI").
-  python3 scripts/bench_schema.py
-else
-  echo "check.sh: python3 not found; skipping detlint (CI enforces it)" >&2
-fi
 
 # Prefer Ninja, but fall back to the default generator when it is absent.
 # Never pass -G over an already-configured tree: CMake rejects a generator

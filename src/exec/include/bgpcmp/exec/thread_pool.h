@@ -63,8 +63,9 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;  // absent when size_ == 1
 };
 
-/// Default pool width: the BGPCMP_THREADS environment variable if set to a
-/// positive integer, else std::thread::hardware_concurrency() (min 1).
+/// Default pool width: the BGPCMP_THREADS environment variable if it is a
+/// whole decimal integer in [1, INT_MAX], else
+/// std::thread::hardware_concurrency() (min 1).
 [[nodiscard]] int default_thread_count();
 
 /// The process-wide pool used by the free parallel_map below.
@@ -80,8 +81,10 @@ void set_thread_count(int n);
 
 /// Consume a `--threads N` argument from an argv-style vector (anywhere
 /// after argv[0]) and apply it via set_thread_count. argc/argv are compacted
-/// in place so downstream positional parsing is undisturbed. Benches and
-/// tools call this first thing in main().
+/// in place so downstream positional parsing is undisturbed. N must be a
+/// whole decimal integer in [1, INT_MAX]; anything else ("2x", "0") fails a
+/// BGPCMP_CHECK that quotes it, before any pool is built. Benches and tools
+/// call this first thing in main().
 void apply_thread_flag(int& argc, char** argv);
 
 /// Map [0, n) through `fn` on `pool`, returning results in index order.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "bgpcmp/netbase/check.h"
@@ -165,13 +168,24 @@ void ThreadPool::parallel_for(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
+namespace {
+
+// `text` as a thread count in [1, INT_MAX]: the whole string must be the
+// decimal number, so "2x", "-3" and out-of-range text are nullopt rather
+// than a prefix, a wrap or a narrowed value.
+std::optional<int> parse_thread_count(std::string_view text) {
+  int n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < 1) return std::nullopt;
+  return n;
+}
+
+}  // namespace
+
 int default_thread_count() {
   if (const char* env = std::getenv("BGPCMP_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<int>(parsed);
-    }
+    if (const auto n = parse_thread_count(env)) return *n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -206,9 +220,10 @@ void apply_thread_flag(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view{argv[i]} != "--threads") continue;
     BGPCMP_CHECK(i + 1 < argc, "--threads requires a value");
-    const int n = std::atoi(argv[i + 1]);
-    BGPCMP_CHECK_GT(n, 0, "--threads requires a positive integer");
-    set_thread_count(n);
+    const auto n = parse_thread_count(argv[i + 1]);
+    BGPCMP_CHECK(n.has_value(), "--threads needs an integer in [1, 2147483647], got '",
+                 argv[i + 1], "'");
+    set_thread_count(*n);
     for (int j = i + 2; j < argc; ++j) argv[j - 2] = argv[j];
     argc -= 2;
     return;

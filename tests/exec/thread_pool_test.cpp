@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "bgpcmp/netbase/check.h"
+
 namespace bgpcmp::exec {
 namespace {
 
@@ -122,10 +124,16 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   // sequentially; restore to avoid leaking into later suites.
   ASSERT_EQ(setenv("BGPCMP_THREADS", "3", 1), 0);
   EXPECT_EQ(default_thread_count(), 3);
-  ASSERT_EQ(setenv("BGPCMP_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(default_thread_count(), 1);  // falls back to hardware concurrency
   ASSERT_EQ(unsetenv("BGPCMP_THREADS"), 0);
-  EXPECT_GE(default_thread_count(), 1);
+  const int hardware = default_thread_count();
+  EXPECT_GE(hardware, 1);
+  // Bad text falls back to hardware concurrency: no prefix parse, no wrap,
+  // and no narrowing of an out-of-range count into a huge pool.
+  for (const char* bad : {"not-a-number", "2x", "0", "-3", "99999999999", ""}) {
+    ASSERT_EQ(setenv("BGPCMP_THREADS", bad, 1), 0);
+    EXPECT_EQ(default_thread_count(), hardware) << "BGPCMP_THREADS=" << bad;
+  }
+  ASSERT_EQ(unsetenv("BGPCMP_THREADS"), 0);
 }
 
 TEST(ThreadPoolTest, ApplyThreadFlagConsumesArguments) {
@@ -141,6 +149,25 @@ TEST(ThreadPoolTest, ApplyThreadFlagConsumesArguments) {
   EXPECT_STREQ(argv[1], "5.0");
   EXPECT_EQ(thread_count(), 2);
   set_thread_count(0);  // restore the default-width global pool
+}
+
+TEST(ThreadPoolTest, ApplyThreadFlagRejectsMalformedCounts) {
+  // Each value fails the check before set_thread_count runs, so no pool of
+  // the (mis)parsed width is ever built and argv is left as it was.
+  ScopedCheckThrows guard;
+  for (std::string value : {"2x", "abc", "0", "-3", "99999999999"}) {
+    std::string a0 = "bench";
+    std::string a1 = "--threads";
+    char* argv[] = {a0.data(), a1.data(), value.data()};
+    int argc = 3;
+    try {
+      apply_thread_flag(argc, argv);
+      ADD_FAILURE() << "--threads " << value << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + value + "'"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(argc, 3);
+  }
 }
 
 TEST(ThreadPoolTest, SetThreadCountResizesGlobalPool) {

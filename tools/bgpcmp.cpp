@@ -23,6 +23,7 @@
 // byte-identically to one built fresh from the same flags — compare the
 // --digest lines.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -83,6 +84,22 @@ T parse_int(const char* what, const std::string& text, T min = 0) {
     std::fprintf(stderr, "%s needs an integer in [%s, %s], got '%s'\n", what,
                  std::to_string(min).c_str(),
                  std::to_string(std::numeric_limits<T>::max()).c_str(), text.c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
+/// `text` as a finite decimal number, at least 0 when `non_negative`. The
+/// same whole-string rule and exit as parse_int: "1x", "nan" and "inf" name
+/// `what` on stderr and exit with status 1.
+double parse_double(const char* what, const std::string& text, bool non_negative) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      (non_negative && value < 0)) {
+    std::fprintf(stderr, "%s needs a finite number%s, got '%s'\n", what,
+                 non_negative ? " >= 0" : "", text.c_str());
     std::exit(1);
   }
   return value;
@@ -338,7 +355,7 @@ int cmd_serve(const Args& args) {
 core::ScaleStudyConfig scale_study_config(const Args& args) {
   core::ScaleStudyConfig cfg;
   if (const auto d = args.flags.find("days"); d != args.flags.end()) {
-    cfg.study.days = std::stod(d->second);
+    cfg.study.days = parse_double("--days", d->second, true);
   }
   if (const auto s = args.flags.find("stride"); s != args.flags.end()) {
     cfg.study.window_stride = parse_int<int>("--stride", s->second);
@@ -360,6 +377,10 @@ int cmd_shard(const Args& args, int argc, char** argv) {
     shards = parse_int("--shards", s->second, 1);
   }
   const auto scfg = scale_study_config(args);
+  double threshold = 2.0;
+  if (const auto t = args.flags.find("threshold"); t != args.flags.end()) {
+    threshold = parse_double("--threshold", t->second, false);
+  }
 
   if (const auto w = args.flags.find("worker"); w != args.flags.end()) {
     const auto out = args.flags.find("out");
@@ -395,10 +416,6 @@ int cmd_shard(const Args& args, int argc, char** argv) {
   }
   const auto result = core::merge_scale_chunks(std::move(chunks), chunk_count,
                                                core::study_windows(scfg.study));
-  double threshold = 2.0;
-  if (const auto t = args.flags.find("threshold"); t != args.flags.end()) {
-    threshold = std::stod(t->second);
-  }
   std::printf("chunks=%zu pairs=%zu windows=%zu improvable(>=%.1fms)=%.4f "
               "fingerprint=%016llx shards=%d\n",
               result.chunks.size(), result.pair_count(), result.windows.size(),

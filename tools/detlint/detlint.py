@@ -1,14 +1,30 @@
 #!/usr/bin/env python3
-"""detlint - semantic determinism & concurrency-contract linter for bgpcmp.
+"""detlint - the bgpcmp lint: determinism and concurrency contracts.
 
-Supersedes the grep heuristics in scripts/lint.sh for the checks that need
-type information or an include graph (docs/TOOLING.md, "Static contracts").
-scripts/lint.sh stays the fast pre-gate for the purely textual rules
-(R1-R4, R6); the rules below are detlint's alone, so no rule is checked in
-two places with different semantics.
+One tool holds every repo lint rule (docs/TOOLING.md, "Static contracts").
+The token rules R1-R6 are single-line patterns; the D rules need type
+information, an include graph or a call graph. No rule is checked in two
+places with different semantics.
 
 Rules
 -----
+Token rules. Each is one TOKEN_RULES row matched line by line against the
+source with comments and string literals blanked, so prose that names a
+pattern never fires. tests/detlint_fixtures/ is outside every scope.
+  R1  C rand()/srand(), in src tools bench examples tests. All randomness
+      flows through bgpcmp::Rng.
+  R2  std::random_device, same scope: nondeterministic seeding is banned.
+  R3  mt19937 in src tools outside netbase/rng.{h,cpp}: model code takes an
+      Rng.
+  R4  wall-clock reads (system_clock, steady_clock, gettimeofday, time(0)
+      ...) in src tools: simulation time is SimTime. D4 follows includes
+      only through repo headers, so a file that reaches <chrono> through a
+      standard header such as <mutex> passes D4; R4 still sees the call.
+  R6  bare assert() or #include <cassert> in src: invariants go through
+      BGPCMP_CHECK* so they print diagnostics and survive Release builds.
+      static_assert does not match.
+
+Semantic rules, over src tools bench.
   D1  unordered-container iteration in model code. Covers range-for,
       iterator-based loops (for (auto it = m.begin(); ...)), and .begin()
       escapes into algorithms - the cases the old grep rule R5 missed.
@@ -83,10 +99,10 @@ Rules
       inside the chunk body itself (the D5 domination machinery, with the
       whole body as the region).
 
-A line opts out with a trailing comment: // lint:allow(D1) - same syntax as
-scripts/lint.sh, comma-separated for several rules. D5/D7 findings anchor to
-the parallel-region line; D6 findings anchor to the second acquisition; D8
-field findings anchor to the field's declaration line.
+A line opts out with a trailing comment: // lint:allow(D1), comma-separated
+for several rules. D5/D7 findings anchor to the parallel-region line; D6
+findings anchor to the second acquisition; D8 field findings anchor to the
+field's declaration line.
 
 Engines: with the libclang Python bindings installed the variable-type
 registries for D1/D3 are augmented from a real AST; otherwise a tokenizer
@@ -96,11 +112,7 @@ graph, so member types declared in headers are seen from their .cpp files).
 tests/detlint_fixtures pins the fallback semantics that every environment
 has. The D5-D7 symbol table and call graph are always tokenizer-built.
 
-Fast paths and outputs: --changed analyzes only files touched per git diff
-plus their include-graph dependents (the include graph is cached on disk
-keyed by file mtimes, so the pre-commit path is sub-second); --json emits
-machine-readable findings; --github emits GitHub Actions workflow-command
-annotations.
+--github prints findings as GitHub Actions workflow-command annotations.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
@@ -109,12 +121,16 @@ import argparse
 import json
 import os
 import re
-import subprocess
 import sys
 from collections import OrderedDict
 
 RULES = OrderedDict(
     [
+        ("R1", "C rand()/srand() is banned; use bgpcmp::Rng"),
+        ("R2", "std::random_device is nondeterministic; seed explicitly"),
+        ("R3", "raw mt19937 outside the Rng wrapper; take an Rng instead"),
+        ("R4", "wall-clock read in model code; use SimTime"),
+        ("R6", "bare assert() or <cassert> in src/; use BGPCMP_CHECK* (bgpcmp/netbase/check.h)"),
         ("D1", "iteration over an unordered container in model code"),
         ("D2", "mutable member without atomic/lock/BGPCMP_SINGLE_THREAD contract"),
         ("D3", "Rng stream copied instead of forked"),
@@ -126,6 +142,22 @@ RULES = OrderedDict(
         ("D9", "Rng fork lineage: unforked draw in a parallel/chunk region or a degenerate fork label"),
         ("D10", "BGPCMP_PURE_CHUNK function reaches shared mutable state"),
     ]
+)
+
+# Token rules: (rule, pattern over a comment/string-blanked line, path
+# prefixes in scope, exempt files). The message is RULES[rule].
+TOKEN_ROOTS = ("src", "tools", "bench", "examples", "tests")
+_ALL = tuple(r + "/" for r in TOKEN_ROOTS)
+_MODEL = ("src/", "tools/")
+TOKEN_RULES = (
+    ("R1", re.compile(r"(?<!\w)s?rand\s*\("), _ALL, ()),
+    ("R2", re.compile(r"random_device"), _ALL, ()),
+    ("R3", re.compile(r"mt19937"), _MODEL,
+     ("src/netbase/include/bgpcmp/netbase/rng.h", "src/netbase/rng.cpp")),
+    ("R4", re.compile(r"system_clock|steady_clock|high_resolution_clock|gettimeofday"
+                      r"|clock_gettime|localtime|gmtime"
+                      r"|(?<!\w)time\s*\(\s*(?:NULL|nullptr|0)\s*\)"), _MODEL, ()),
+    ("R6", re.compile(r"(?<!\w)assert\s*\(|#\s*include\s*<cassert>"), ("src/",), ()),
 )
 
 BANNED_HEADERS = {"chrono", "ctime", "time.h", "sys/time.h", "random"}
@@ -937,6 +969,7 @@ class Analyzer:
         self.use_libclang = use_libclang
         self.files = {}
         self.findings = []
+        self.token_files = []
         self.libclang_active = False
         self._closure_memo = {}
         self._ctx_vars_memo = {}
@@ -979,6 +1012,24 @@ class Analyzer:
         f = Finding(sf.rel, line, rule, message, chain)
         if f.key() not in {x.key() for x in self.findings}:
             self.findings.append(f)
+
+    def check_token_rules(self, rels, scoped=True):
+        """R1-R6 over rels. A file the symbol pass did not load is read here
+        but kept out of self.files, so it never feeds a D rule's facts."""
+        for rel in rels:
+            norm = rel.replace("\\", "/")
+            rows = [
+                (rule, pattern)
+                for rule, pattern, scope, exempt in TOKEN_RULES
+                if not scoped or (norm.startswith(scope) and norm not in exempt)
+            ]
+            if not rows:
+                continue
+            sf = self.files.get(rel) or SourceFile(self.root, rel)
+            for i, line in enumerate(sf.clean_lines, start=1):
+                for rule, pattern in rows:
+                    if pattern.search(line):
+                        self.report(sf, i, rule, RULES[rule])
 
     # -- registries ---------------------------------------------------------
 
@@ -2548,27 +2599,6 @@ def include_dirs_from_compile_commands(path):
     return dirs
 
 
-def sources_from_compile_commands(root, path):
-    """Repo-relative sources listed in compile_commands.json (the canonical
-    TU list for the call-graph passes when a configured build exists)."""
-    rels = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            db = json.load(f)
-    except (OSError, ValueError):
-        return rels
-    for entry in db:
-        src = entry.get("file")
-        if not src:
-            continue
-        if not os.path.isabs(src):
-            src = os.path.join(entry.get("directory", "."), src)
-        rel = os.path.relpath(os.path.normpath(src), root)
-        if not rel.startswith("..") and os.path.isfile(os.path.join(root, rel)):
-            rels.append(rel)
-    return sorted(set(rels))
-
-
 def gather_files(root, paths, exts=(".cpp", ".h")):
     rels = []
     for p in paths:
@@ -2584,110 +2614,6 @@ def gather_files(root, paths, exts=(".cpp", ".h")):
     return sorted(set(rels))
 
 
-# -- --changed: include-graph cache and git-diff restriction -----------------
-
-
-def default_cache_path(root):
-    build = os.path.join(root, "build")
-    base = build if os.path.isdir(build) else root
-    return os.path.join(base, ".detlint_include_cache.json")
-
-
-def load_include_graph(root, all_rels, include_dirs, cache_path):
-    """rel -> [resolved repo-relative includes], via an mtime-keyed disk
-    cache so the warm --changed path parses only what actually changed."""
-    cache = {}
-    if cache_path and os.path.isfile(cache_path):
-        try:
-            with open(cache_path, encoding="utf-8") as f:
-                cache = json.load(f)
-        except (OSError, ValueError):
-            cache = {}
-    az = Analyzer(root, include_dirs, use_libclang=False)
-    graph = {}
-    dirty = False
-    rel_set = set(all_rels)
-    for rel in all_rels:
-        try:
-            mtime = os.stat(os.path.join(root, rel)).st_mtime_ns
-        except OSError:
-            continue
-        ent = cache.get(rel)
-        # A cached entry is valid only if the file itself is unchanged AND
-        # every include target it resolved still exists: deleting or renaming
-        # a header must force a re-resolve of its includers, or --changed
-        # keeps routing dependency edges through a ghost file.
-        if ent and ent[0] == mtime and all(t in rel_set for t in ent[1]):
-            graph[rel] = ent[1]
-            continue
-        sf = az.load(rel)
-        resolved = []
-        for _, target, _ in sf.includes:
-            r = az.resolve_include(rel, target)
-            if r:
-                resolved.append(r)
-        graph[rel] = resolved
-        cache[rel] = [mtime, resolved]
-        dirty = True
-    stale = set(cache) - set(all_rels)
-    if stale:
-        for rel in stale:
-            del cache[rel]
-        dirty = True
-    if dirty and cache_path:
-        try:
-            with open(cache_path, "w", encoding="utf-8") as f:
-                json.dump(cache, f)
-        except OSError:
-            pass  # caching is best-effort; the analysis itself is unaffected
-    return graph
-
-
-def git_changed_files(root, base):
-    """Files touched vs. base plus untracked files, repo-relative; None on
-    git failure."""
-
-    def run(args):
-        return subprocess.run(args, cwd=root, capture_output=True, text=True)
-
-    diff = run(["git", "diff", "--name-only", base, "--"])
-    if diff.returncode != 0:
-        return None
-    untracked = run(["git", "ls-files", "--others", "--exclude-standard"])
-    names = set(diff.stdout.splitlines())
-    if untracked.returncode == 0:
-        names |= set(untracked.stdout.splitlines())
-    return sorted(n for n in names if n.endswith((".cpp", ".h")))
-
-
-def changed_with_dependents(root, paths, include_dirs, base, cache_path):
-    """The git-changed file set widened to every file whose include closure
-    reaches a changed file. Returns None when git is unusable."""
-    changed = git_changed_files(root, base)
-    if changed is None:
-        return None
-    all_rels = gather_files(root, paths)
-    graph = load_include_graph(root, all_rels, include_dirs, cache_path)
-    affected = {c for c in changed if c in graph}
-    # Headers outside the scan roots (none today) would be silently ignored;
-    # keep any changed path that resolves somewhere in the graph's targets.
-    target_map = {}
-    for rel, incs in graph.items():
-        for inc in incs:
-            target_map.setdefault(inc, set()).add(rel)
-    queue = list(affected | {c for c in changed if c in target_map})
-    seen = set(queue)
-    while queue:
-        cur = queue.pop()
-        affected.add(cur) if cur in graph else None
-        for dependent in target_map.get(cur, ()):
-            if dependent not in seen:
-                seen.add(dependent)
-                queue.append(dependent)
-                affected.add(dependent)
-    return sorted(affected)
-
-
 # -- scan drivers ------------------------------------------------------------
 
 
@@ -2695,20 +2621,12 @@ def default_schema_lock_path(root):
     return os.path.join(root, "tools", "detlint", "snapshot_schema.lock")
 
 
-def run_scan(root, paths, include_dirs, use_libclang, explicit_files=None,
-             lock_path=None, checks=True):
+def run_scan(root, paths, include_dirs, use_libclang, lint_paths=(), lock_path=None,
+             checks=True):
+    """D rules over the files under paths; token rules over those under
+    lint_paths, each limited to its own scope."""
     az = Analyzer(root, include_dirs, use_libclang)
-    files = explicit_files if explicit_files is not None else gather_files(root, paths)
-    if explicit_files is not None:
-        # Restricted (--changed) runs still need the WHOLE tree in the symbol
-        # table: call-graph facts live in translation units outside the
-        # changed set (a constructor in an unchanged .cpp discharges a
-        # REQUIRES_WARMED contract used by a changed file). Loading and
-        # structure-parsing every file is cheap; the savings come from
-        # skipping the per-file rule passes and include-closure registry
-        # scans for unchanged files.
-        for rel in gather_files(root, paths):
-            az.load(rel)
+    files = gather_files(root, paths)
     for rel in files:
         az.load(rel)
     # Pull include closures in before the symbol pass so annotations declared
@@ -2735,11 +2653,10 @@ def run_scan(root, paths, include_dirs, use_libclang, explicit_files=None,
             az.check_d9(sf)
     az.check_d5_regression()
     az.check_d6()
-    # D8/D10 are call-graph/whole-tree rules like D6: their facts (codec
-    # pairs, pure-chunk markers, the schema lock) live outside any single
-    # changed file, so they always run over the full symbol table.
     az.check_d10()
     az.check_d8(lock_path or default_schema_lock_path(root))
+    az.token_files = gather_files(root, lint_paths)
+    az.check_token_rules(az.token_files)
     return az
 
 
@@ -2774,6 +2691,7 @@ def run_self_test(fixture_dir):
     az.check_d6()
     az.check_d10()
     az.check_d8(os.path.join(root, "d8_schema.lock"))
+    az.check_token_rules(rels, scoped=False)
     actual = sorted(f.key() for f in az.findings)
     expected = sorted((os.path.normpath(p), l, r) for p, l, r in expected)
     actual = [(os.path.normpath(p), l, r) for p, l, r in actual]
@@ -2792,32 +2710,17 @@ def run_self_test(fixture_dir):
     return 0
 
 
-def emit_findings(az, fmt, paths, engine_note):
+def emit_findings(az, github, paths, lint_paths, engine_note):
     findings = sorted(az.findings, key=Finding.key)
-    if fmt == "json":
-        payload = {
-            "engine": engine_note,
-            "files_scanned": len(az.files),
-            "findings": [
-                {
-                    "file": f.path,
-                    "line": f.line,
-                    "rule": f.rule,
-                    "message": f.message,
-                    "chain": f.chain,
-                }
-                for f in findings
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif fmt == "github":
+    if github:
         # GitHub Actions workflow commands: surfaced as PR annotations.
         for f in findings:
             msg = f.message.replace("%", "%25").replace("\r", "").replace("\n", "%0A")
             print(f"::error file={f.path},line={f.line},title=detlint {f.rule}::{msg}")
         print(f"detlint: {len(findings)} finding(s)" if findings else "detlint: clean")
     else:
-        print(f"detlint: engine={engine_note}; scanned {len(az.files)} files under {' '.join(paths)}")
+        print(f"detlint: engine={engine_note}; scanned {len(az.files)} files under {' '.join(paths)}; "
+              f"token rules {len(az.token_files)} files under {' '.join(lint_paths)}")
         for f in findings:
             print(f)
         if findings:
@@ -2829,30 +2732,20 @@ def emit_findings(az, fmt, paths, engine_note):
 
 def main(argv):
     ap = argparse.ArgumentParser(prog="detlint", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("paths", nargs="*", default=None, help="paths to scan (default: src tools bench)")
+    ap.add_argument(
+        "paths",
+        nargs="*",
+        default=None,
+        help="paths to scan (default: src tools bench, plus examples tests for the token rules)",
+    )
     ap.add_argument("--root", default=None, help="repo root (default: two levels above this script)")
     ap.add_argument("--compile-commands", default=None, help="compile_commands.json for include resolution")
     ap.add_argument("--engine", choices=["auto", "tokenizer", "libclang"], default="auto")
     ap.add_argument("--self-test", metavar="DIR", default=None, help="verify the fixture corpus and exit")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="scan only files changed vs. BASE (default HEAD) plus their include-graph dependents",
-    )
-    ap.add_argument("--json", action="store_true", help="emit findings as JSON")
-    ap.add_argument(
         "--github", action="store_true", help="emit findings as GitHub Actions annotations"
     )
-    ap.add_argument(
-        "--cache-file",
-        default=None,
-        help="include-graph cache path for --changed (default: build/.detlint_include_cache.json)",
-    )
-    ap.add_argument("--no-cache", action="store_true", help="ignore and don't write the include-graph cache")
     ap.add_argument(
         "--schema-lock",
         default=None,
@@ -2876,6 +2769,7 @@ def main(argv):
 
     root = os.path.abspath(args.root) if args.root else repo_root_default()
     paths = args.paths or ["src", "tools", "bench"]
+    lint_paths = args.paths or list(TOKEN_ROOTS)
     for p in paths:
         if not os.path.exists(os.path.join(root, p)):
             print(f"detlint: no such path under {root}: {p}", file=sys.stderr)
@@ -2901,28 +2795,11 @@ def main(argv):
         az = run_scan(root, paths, include_dirs, use_libclang, checks=False)
         return az.update_schema_lock(lock_path)
 
-    explicit = None
-    if args.changed is not None:
-        cache_path = None if args.no_cache else (args.cache_file or default_cache_path(root))
-        explicit = changed_with_dependents(root, paths, include_dirs, args.changed, cache_path)
-        if explicit is None:
-            print("detlint: --changed requires a usable git checkout", file=sys.stderr)
-            return 2
-        if not explicit:
-            fmt = "json" if args.json else ("github" if args.github else "text")
-            if fmt == "json":
-                print(json.dumps({"engine": "tokenizer", "files_scanned": 0, "findings": []}, indent=2))
-            else:
-                print("detlint: no changed files; clean")
-            return 0
-
-    az = run_scan(root, paths, include_dirs, use_libclang, explicit_files=explicit,
-                  lock_path=lock_path)
+    az = run_scan(root, paths, include_dirs, use_libclang, lint_paths, lock_path)
     engine = "libclang" if az.libclang_active else "tokenizer"
-    if not az.libclang_active and not args.json and not args.github:
+    if not az.libclang_active and not args.github:
         engine += " (libclang unavailable; declaration tracking is textual)"
-    fmt = "json" if args.json else ("github" if args.github else "text")
-    return emit_findings(az, fmt, paths, engine)
+    return emit_findings(az, args.github, paths, lint_paths, engine)
 
 
 if __name__ == "__main__":
