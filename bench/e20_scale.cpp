@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/core/study_pop.h"
+#include "bgpcmp/netbase/parse.h"
 #include "bgpcmp/topology/topology_gen.h"
 #include "bgpcmp/topology/world_snapshot.h"
 #include "../tools/shard_util.h"
@@ -203,31 +205,32 @@ BENCHMARK(BM_ShardedRun)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMilliseco
 /// wire format to --scale-out — with E20's fixed study config, so the
 /// benchmark measures exactly the phases it names.
 int run_scale_worker(int argc, char** argv) {
-  int worker = -1;
-  int shards = 0;
-  std::int64_t scale = 1;
+  std::optional<int> worker;
+  std::optional<int> shards;
+  std::optional<std::int64_t> scale = 1;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale-worker" && i + 1 < argc) {
-      worker = std::atoi(argv[++i]);
+      worker = parse_number<int>(argv[++i]);
     } else if (arg == "--scale-shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = parse_number<int>(argv[++i]);
     } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atoll(argv[++i]);
+      scale = parse_number<std::int64_t>(argv[++i]);
     } else if (arg == "--scale-out" && i + 1 < argc) {
       out_path = argv[++i];
     }
   }
-  if (worker < 0 || shards < 1 || worker >= shards || out_path.empty()) {
+  if (!worker || !shards || !scale || *worker < 0 || *shards < 1 || *worker >= *shards ||
+      *scale < 1 || out_path.empty()) {
     std::fprintf(stderr, "bad --scale-worker invocation\n");
     return 2;
   }
-  const auto world = core::ScaleWorld::make(scaled_config(scale));
+  const auto world = core::ScaleWorld::make(scaled_config(*scale));
   const auto cfg = bench_study();
   std::ofstream out{out_path, std::ios::binary};
   for (const auto& chunk : core::run_scale_block(*world, cfg, core::study_windows(cfg.study),
-                                                 shards, worker)) {
+                                                 *shards, *worker)) {
     out << core::encode_scale_chunk(chunk);
   }
   out.flush();

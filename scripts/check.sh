@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Full verification: lint, configure, build, run every test, the determinism
-# audit, the format check, and regenerate every figure. Mirrors what CI runs.
+# Full verification: lint, configure, build, run every test (the figures and
+# §3 experiments included: the experiment_* ctests compare each against its
+# results/ file), the determinism audit, the format check, and the
+# google-benchmark programs. Mirrors what CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,15 +105,12 @@ fi
   build/tools/bgpcmp shard --scale 30 --shards 2 --days 0.011 --chunk-origins 256 --check
 )
 
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "== $(basename "$b")"
-  case "$(basename "$b")" in
-    # Scale trajectory: 10x families only as a smoke here; the full
-    # 10x/30x/100x sweep (one process per family, for per-phase peak RSS)
-    # is scripts/bench_scale.sh.
-    e20_*) "$b" --benchmark_filter='/10$' ;;
-    micro_*|e1[89]_*) "$b" ;;  # google-benchmark CLI: no positional days argument
-    *) "$b" ${BENCH_ARG:+"$BENCH_ARG"} ;;
-  esac
+for b in micro_core e18_churn e19_serving; do
+  echo "== $b"
+  "build/bench/$b"
 done
+# Scale trajectory: 10x families only as a smoke here; the full 10x/30x/100x
+# sweep (one process per family, for per-phase peak RSS) is
+# scripts/bench_scale.sh.
+echo "== e20_scale"
+build/bench/e20_scale --benchmark_filter='/10$'

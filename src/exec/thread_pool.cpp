@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -12,6 +11,7 @@
 #include <thread>
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/parse.h"
 #include "bgpcmp/netbase/thread_annotations.h"
 
 namespace bgpcmp::exec {
@@ -170,14 +170,11 @@ void ThreadPool::parallel_for(std::size_t n,
 
 namespace {
 
-// `text` as a thread count in [1, INT_MAX]: the whole string must be the
-// decimal number, so "2x", "-3" and out-of-range text are nullopt rather
-// than a prefix, a wrap or a narrowed value.
+// `text` as a thread count in [1, INT_MAX] (parse_number's whole-string
+// rule), else nullopt.
 std::optional<int> parse_thread_count(std::string_view text) {
-  int n = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-  if (ec != std::errc{} || ptr != end || n < 1) return std::nullopt;
+  const auto n = parse_number<int>(text);
+  if (!n || *n < 1) return std::nullopt;
   return n;
 }
 

@@ -14,10 +14,16 @@
 
 namespace bgpcmp {
 
-/// Deterministic RNG with convenience samplers.
+/// Deterministic RNG with convenience samplers. Move-only: a copy would
+/// replay the parent's draws and silently fork draw order, so a second stream
+/// comes from fork(label) and a by-value Rng parameter takes an rvalue.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
+  Rng(const Rng&) = delete;
+  Rng& operator=(const Rng&) = delete;
+  Rng(Rng&&) = default;
+  Rng& operator=(Rng&&) = default;
 
   /// Derive an independent child stream keyed by a label, without advancing
   /// this stream. Same (seed, label) always yields the same child.

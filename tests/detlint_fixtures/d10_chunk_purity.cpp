@@ -44,6 +44,10 @@ inline int chunk_clean(int x) {
   return kTable[x & 3] * kScale + g_tally;
 }
 
+// Clean: a parameter named like the mutable global shadows it.
+BGPCMP_PURE_CHUNK
+inline int chunk_shadows_global(int g_call_count) { return g_call_count * kScale; }
+
 // -- warm domination ---------------------------------------------------------
 
 class ChunkTables {

@@ -9,7 +9,7 @@
 namespace fixture_tok {
 
 inline void raw_strings_skipped() {
-  // Each literal contains text that would fire D1/D2/D3 if the cleaner
+  // Each literal contains text that would fire D1/D2 if the cleaner
   // mis-tracked the raw-string delimiter. The u8R case embeds quotes: a
   // scanner that misses the prefix and reads an ordinary string would leak
   // the decoy between the inner quotes back into live code.

@@ -12,18 +12,18 @@
 //   bgpcmp shard --shards N [--check]          streaming study across N
 //                                              worker processes, merged
 //                                              deterministically
+//   bgpcmp experiment <name> [--days D]        one paper figure or §3
+//                                              experiment (results/<name>.txt)
 //
 // Every subcommand accepts --threads N (or the BGPCMP_THREADS environment
 // variable) to size the exec thread pool used for route warm-up.
 //
-// Every subcommand builds the same deterministic world the benches use, so
-// output here explains bench results line by line. snapshot/serve share the
+// Every subcommand builds the same deterministic world the experiments use,
+// so output here explains their results line by line. snapshot/serve share the
 // same config flags plus --scale N (multiply all four AS-class counts) and
 // --warm K (origins to warm); a world loaded with `serve --snapshot` answers
 // byte-identically to one built fresh from the same flags — compare the
 // --digest lines.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -38,7 +38,9 @@
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/path_model.h"
+#include "bgpcmp/netbase/parse.h"
 #include "bgpcmp/stats/table.h"
+#include "experiments.h"
 #include "shard_util.h"
 
 using namespace bgpcmp;
@@ -70,39 +72,33 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
-/// `text` as a decimal integer of type T, at least `min`. The whole string
-/// must be the number (no '+', spaces or trailing characters) and fit in T,
-/// so a negative value never wraps into an unsigned one. Anything else names
-/// `what` (a flag such as "--limit", or "ASN") on stderr and exits with
-/// status 1.
+/// `text` as a decimal integer of type T, at least `min` (parse_number's
+/// whole-string rule, so a negative value never wraps into an unsigned one).
+/// Anything else names `what` (a flag such as "--limit", or "ASN") on stderr
+/// and exits with status 1.
 template <typename T>
 T parse_int(const char* what, const std::string& text, T min = 0) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || value < min) {
+  const auto value = parse_number<T>(text);
+  if (!value || *value < min) {
     std::fprintf(stderr, "%s needs an integer in [%s, %s], got '%s'\n", what,
                  std::to_string(min).c_str(),
                  std::to_string(std::numeric_limits<T>::max()).c_str(), text.c_str());
     std::exit(1);
   }
-  return value;
+  return *value;
 }
 
 /// `text` as a finite decimal number, at least 0 when `non_negative`. The
 /// same whole-string rule and exit as parse_int: "1x", "nan" and "inf" name
 /// `what` on stderr and exit with status 1.
 double parse_double(const char* what, const std::string& text, bool non_negative) {
-  double value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
-      (non_negative && value < 0)) {
+  const auto value = parse_number<double>(text);
+  if (!value || (non_negative && *value < 0)) {
     std::fprintf(stderr, "%s needs a finite number%s, got '%s'\n", what,
                  non_negative ? " >= 0" : "", text.c_str());
     std::exit(1);
   }
-  return value;
+  return *value;
 }
 
 core::ScenarioConfig preset_config(const Args& args) {
@@ -436,6 +432,40 @@ int cmd_shard(const Args& args, int argc, char** argv) {
   return 0;
 }
 
+/// `bgpcmp experiment <name> [--days D]`: one paper figure or §3 experiment,
+/// printed to stdout. --days, the only flag, resizes the measurement campaign
+/// of an experiment that has one.
+int cmd_experiment(const Args& args) {
+  const experiments::Experiment* exp = nullptr;
+  if (args.positional.size() == 1) {
+    for (const auto& e : experiments::registry()) {
+      if (e.name == args.positional[0]) exp = &e;
+    }
+    if (exp == nullptr) {
+      std::fprintf(stderr, "unknown experiment '%s'\n", args.positional[0].c_str());
+    }
+  }
+  if (exp == nullptr) {
+    std::fputs("usage: bgpcmp experiment <name> [--days D] [--threads N]; names:\n",
+               stderr);
+    for (const auto& e : experiments::registry()) {
+      std::fprintf(stderr, "  %.*s%s\n", static_cast<int>(e.name.size()),
+                   e.name.data(), e.takes_days ? " [--days D]" : "");
+    }
+    return 1;
+  }
+  std::optional<double> days;
+  for (const auto& [flag, value] : args.flags) {
+    if (flag != "days" || !exp->takes_days) {  // fig3 etc. have no campaign
+      std::fprintf(stderr, "%s takes no --%s\n", args.positional[0].c_str(), flag.c_str());
+      return 1;
+    }
+    days = parse_double("--days", value, /*non_negative=*/true);
+  }
+  exp->run(days);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -443,12 +473,14 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (args.command.empty()) {
     std::fputs("usage: bgpcmp <topology|route|rib|catchment|pops|trace|lookup|"
-               "snapshot|serve|shard> [--preset ms|goog] [--seed N] ...\n",
+               "snapshot|serve|shard|experiment> [--preset ms|goog] [--seed N] ...\n",
                stderr);
     return 1;
   }
-  // snapshot/serve manage their own world (ServingWorld; possibly loaded from
-  // disk) — don't build the explorer scenario for them.
+  // snapshot/serve/shard/experiment manage their own worlds (ServingWorld,
+  // possibly loaded from disk; ScaleWorld; each experiment's scenarios) —
+  // don't build the explorer scenario for them.
+  if (args.command == "experiment") return cmd_experiment(args);
   if (args.command == "snapshot") return cmd_snapshot(args);
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "shard") return cmd_shard(args, argc, argv);

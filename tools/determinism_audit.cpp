@@ -25,11 +25,9 @@
 //                                     --scenario narrows it like any mode;
 //                                     --compare-threads and --dump do not
 //                                     combine with it (exit 2)
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -39,6 +37,7 @@
 #include "bgpcmp/core/scenario_registry.h"
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
+#include "bgpcmp/netbase/parse.h"
 #include "bgpcmp/stats/table.h"
 #include "shard_util.h"
 
@@ -79,16 +78,6 @@ Units audit_units(const std::string& only) {
     if (only.empty() || s.name == only) units.push_back(&s);
   }
   return units;
-}
-
-/// `text` as a whole decimal int: "2x", "abc" and out-of-range text are
-/// nullopt, never their numeric prefix.
-std::optional<int> parse_int(std::string_view text) {
-  int n = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return n;
 }
 
 std::string hex16(std::uint64_t hash) {
@@ -200,21 +189,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump" && i + 1 < argc) {
       dump_dir = argv[++i];
     } else if (arg == "--compare-threads" && i + 1 < argc) {
-      const auto n = parse_int(argv[++i]);
+      const auto n = parse_number<int>(argv[++i]);
       if (!n || *n < 2) {
         std::fprintf(stderr, "--compare-threads needs an integer >= 2, got '%s'\n", argv[i]);
         return 2;
       }
       compare_threads = *n;
     } else if (arg == "--shards" && i + 1 < argc) {
-      const auto n = parse_int(argv[++i]);
+      const auto n = parse_number<int>(argv[++i]);
       if (!n || (*n < 2 && shard_worker < 0)) {
         std::fprintf(stderr, "--shards needs an integer >= 2, got '%s'\n", argv[i]);
         return 2;
       }
       shards = *n;
     } else if (arg == "--shard-worker" && i + 1 < argc) {
-      const auto n = parse_int(argv[++i]);
+      const auto n = parse_number<int>(argv[++i]);
       if (!n) {
         std::fprintf(stderr, "--shard-worker needs an integer, got '%s'\n", argv[i]);
         return 2;

@@ -34,10 +34,8 @@ Semantic rules, over src tools bench.
       type, BGPCMP_GUARDED_BY-annotated, or BGPCMP_SINGLE_THREAD-marked
       (member- or class-level). Unsynchronized lazy state must either be
       locked or carry an explicit single-thread waiver.
-  D3  Rng streams duplicated outside the plan/sample split: by-value Rng
-      parameters and copy-initialization from an existing stream. Each copy
-      replays the parent's draws, silently forking draw order; substreams
-      must come from Rng::fork(label).
+  D3  retired: Rng is move-only, so the compiler rejects the stream copies
+      this pass looked for (the rng_copy_* ctests pin that).
   D4  wall-clock / raw-randomness reach-through: a model translation unit
       whose include closure (through repo headers) pulls in <chrono>,
       <ctime>, <time.h>, <sys/time.h> or <random>. The Rng wrapper
@@ -93,8 +91,10 @@ Semantic rules, over src tools bench.
   D10 chunk purity. A BGPCMP_PURE_CHUNK function must be pure in its
       explicit inputs: detlint chases every reachable call and fails on
       mutable function-local statics, references to non-const namespace-
-      scope globals (Mutex declarations and BGPCMP_GUARDED_BY state are
-      exempt - their safety story is the lock discipline D6 checks), and
+      scope globals declared in the function's own file or a header it
+      includes, unless a parameter or local of that name shadows them
+      (Mutex declarations and BGPCMP_GUARDED_BY state are exempt - their
+      safety story is the lock discipline D6 checks), and
       BGPCMP_REQUIRES_WARMED callees not dominated by a per-chunk warm
       inside the chunk body itself (the D5 domination machinery, with the
       whole body as the region).
@@ -105,7 +105,7 @@ findings anchor to the second acquisition; D8 field findings anchor to the
 field's declaration line.
 
 Engines: with the libclang Python bindings installed the variable-type
-registries for D1/D3 are augmented from a real AST; otherwise a tokenizer
+registries for D1/D9 are augmented from a real AST; otherwise a tokenizer
 fallback tracks declarations textually (including through the repo include
 graph, so member types declared in headers are seen from their .cpp files).
 --self-test always uses the tokenizer registries: the fixture corpus in
@@ -133,7 +133,6 @@ RULES = OrderedDict(
         ("R6", "bare assert() or <cassert> in src/; use BGPCMP_CHECK* (bgpcmp/netbase/check.h)"),
         ("D1", "iteration over an unordered container in model code"),
         ("D2", "mutable member without atomic/lock/BGPCMP_SINGLE_THREAD contract"),
-        ("D3", "Rng stream copied instead of forked"),
         ("D4", "wall-clock/raw-randomness header reaches model code"),
         ("D5", "serve-phase call without a dominating warm (phase contract)"),
         ("D6", "lock-order cycle or BGPCMP_ACQUIRES_ORDER inversion"),
@@ -294,8 +293,6 @@ FN_TRAILER_TOKENS = frozenset(
     {"const", "noexcept", "override", "final", "mutable", "try"}
 )
 
-PARALLEL_PHASES = ("warm", "build")
-
 
 class Finding:
     def __init__(self, path, line, rule, message, chain=None):
@@ -450,9 +447,6 @@ class StructDef:
         self.name = name
         self.line = line
         self.fields = fields  # [(name, normalized type, line, waived)]
-
-    def field_names(self):
-        return [f[0] for f in self.fields]
 
     def field_type(self, name):
         for fname, ftype, _, _ in self.fields:
@@ -1322,47 +1316,6 @@ class Analyzer:
                 + "BGPCMP_SINGLE_THREAD-marked",
             )
 
-    # -- D3: Rng copy / by-value -------------------------------------------
-
-    def check_d3(self, sf):
-        _, rngs = self.context_registry(sf)
-        text = sf.clean
-        for m in re.finditer(r"[(,]\s*(?:const\s+)?(?:bgpcmp\s*::\s*)?Rng\s+(\w+)\s*(?=[,)=])", text):
-            self.report(
-                sf,
-                sf.line_of_offset(m.start(1)),
-                "D3",
-                f"parameter '{m.group(1)}' takes Rng by value - the copy replays "
-                "the caller's draws; pass Rng& or fork a labelled substream",
-            )
-        for m in re.finditer(r"\bRng\s+(\w+)\s*=\s*([^;]+);", text):
-            rhs = m.group(2).strip()
-            if "(" in rhs or "{" in rhs:
-                continue  # fork(...) / Rng{seed}... are fresh streams
-            self.report(
-                sf,
-                sf.line_of_offset(m.start()),
-                "D3",
-                f"'{m.group(1)}' copy-initialized from '{rhs}' - copies replay "
-                "the parent stream; use .fork(label)",
-            )
-        for m in re.finditer(r"\bRng\s+(\w+)\s*[({]\s*(\w+)\s*[)}]", text):
-            if m.group(2) in rngs:
-                self.report(
-                    sf,
-                    sf.line_of_offset(m.start()),
-                    "D3",
-                    f"'{m.group(1)}' constructed as a copy of Rng '{m.group(2)}'; use .fork(label)",
-                )
-        for m in re.finditer(r"\bauto\s+(\w+)\s*=\s*(\w+)\s*;", text):
-            if m.group(2) in rngs:
-                self.report(
-                    sf,
-                    sf.line_of_offset(m.start()),
-                    "D3",
-                    f"'{m.group(1)}' deduced as a copy of Rng '{m.group(2)}'; use .fork(label)",
-                )
-
     # -- D4: banned headers through the include graph ----------------------
 
     def _d4_exempt_file(self, rel):
@@ -1913,8 +1866,9 @@ class Analyzer:
                 groups.setdefault(fn.codec[0], {}).setdefault(fn.codec[1], fn)
         return groups
 
-    def _codec_vars(self, fn):
-        """(body text, var -> declared type, var -> vector element type)."""
+    def _var_types(self, fn):
+        """(body text, var -> declared type) over fn's parameters, range-for
+        variables and local declarations."""
         a, b = fn.body_span
         body = fn.sf.pp_clean[a:b]
         var_types = dict(fn.param_types)
@@ -1926,6 +1880,11 @@ class Analyzer:
             if n in CPP_KEYWORDS or not bare_type(t) or bare_type(t) in CPP_KEYWORDS:
                 continue
             var_types.setdefault(n, t)
+        return body, var_types
+
+    def _codec_vars(self, fn):
+        """(body text, var -> declared type, var -> vector element type)."""
+        body, var_types = self._var_types(fn)
         elem_types = {}
         for n, t in var_types.items():
             vm = self.VECTOR_ELEM_RE.search(t)
@@ -2413,7 +2372,7 @@ class Analyzer:
                                 "BGPCMP_PURE_CHUNK body; fork per chunk instead",
                             )
                             break
-            # The D3 registry sees `Rng x` declarations but not `Rng&`
+            # The Rng registry sees `Rng x` declarations but not `Rng&`
             # parameters; a draw through a non-const Rng& param is just as
             # order-dependent inside a region, so fold those names in.
             fn_rngs = rngs | set(fn.rng_ref_params)
@@ -2464,9 +2423,7 @@ class Analyzer:
         """Chase every call reachable from a BGPCMP_PURE_CHUNK function for
         shared mutable state, and re-run the D5 domination walk with the
         whole chunk body as the region."""
-        mutable_globals = {
-            g.name: g for g in self.global_vars if not g.is_const and not g.guarded
-        }
+        mutable_globals = [g for g in self.global_vars if not g.is_const and not g.guarded]
         for fn in self.defs:
             if not fn.pure_chunk:
                 continue
@@ -2513,10 +2470,20 @@ class Analyzer:
                 "what earlier chunks cached; chain: " + " -> ".join(chain),
                 chain=chain + [fn.display],
             )
-        for name, g in mutable_globals.items():
+        # A global is in scope only where its file is: the function's own
+        # file or a header in its include closure. A parameter or local of
+        # the same name shadows it.
+        visible = set(self.include_closure(fn.sf))
+        _, shadowing = self._var_types(fn)
+        seen = set()
+        for g in mutable_globals:
+            name = g.name
+            if g.sf.rel not in visible or name in shadowing or name in seen:
+                continue
             gm = re.search(r"\b" + re.escape(name) + r"\b", body)
             if gm is None:
                 continue
+            seen.add(name)
             self.report(
                 fn.sf,
                 fn.sf.line_of_offset(a + gm.start()),
@@ -2642,7 +2609,6 @@ def run_scan(root, paths, include_dirs, use_libclang, lint_paths=(), lock_path=N
         model = norm.startswith(("src/", "tools/", "bench/"))
         if model:
             az.check_d1(sf)
-            az.check_d3(sf)
         if norm.startswith("src/"):
             az.check_d2(sf)
         if model and norm.endswith(".cpp"):
@@ -2681,7 +2647,6 @@ def run_self_test(fixture_dir):
         sf = az.files[rel]
         az.check_d1(sf)
         az.check_d2(sf)
-        az.check_d3(sf)
         if rel.endswith(".cpp"):
             az.check_d4(sf)
         az.check_d5(sf)
