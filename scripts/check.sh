@@ -7,9 +7,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The repo lint (docs/TOOLING.md, "Static contracts"): the self-test pins
-# every rule (token rules R1-R6 and the semantic rules D1-D10) against the
-# fixture corpus, then the tree must scan clean. D8 diffs serialized structs
-# against the committed tools/detlint/snapshot_schema.lock.
+# every rule (token rules R1-R7 and the semantic rules D2, D4-D10) against
+# the fixture corpus, then the tree must scan clean. D8 checks that each
+# serialized struct's one fields() list names its members in declaration
+# order and diffs the layouts against tools/detlint/snapshot_schema.lock.
 python3 tools/detlint/detlint.py --self-test tests/detlint_fixtures
 python3 tools/detlint/detlint.py
 # BENCH_*.json shape: provenance keys, unit-suffixed numeric leaves,

@@ -38,7 +38,7 @@ ChurnEngine::ChurnEngine(const AsGraph* graph, OriginSpec base)
 
 OriginSpec ChurnEngine::materialize() const {
   OriginSpec eff = base_;
-  const bool links_down = !link_down_.empty() || !city_down_.empty();
+  const bool links_down = link_down_.size() + city_down_.size() != 0;
   const auto is_down = [&](LinkId l) {
     return link_down_.contains(l) || city_down_.contains(graph_->link(l).city);
   };

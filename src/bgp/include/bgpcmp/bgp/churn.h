@@ -18,10 +18,10 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "bgpcmp/bgp/propagation_detail.h"
+#include "bgpcmp/netbase/lookup.h"
 #include "bgpcmp/netbase/thread_annotations.h"
 
 namespace bgpcmp::bgp {
@@ -164,9 +164,9 @@ class ChurnEngine {
   const AsGraph* graph_;
   OriginSpec base_;  ///< groomed announcement (Prepend/SuppressEdge/Announce mutate this)
   OriginSpec eff_;   ///< base_ with session/link/facility state folded in
-  std::unordered_set<EdgeId> edge_down_;    ///< Withdraw'd sessions
-  std::unordered_set<LinkId> link_down_;    ///< LinkFlap'd links
-  std::unordered_set<CityId> city_down_;    ///< FacilityOutage'd cities
+  LookupSet<EdgeId> edge_down_;    ///< Withdraw'd sessions
+  LookupSet<LinkId> link_down_;    ///< LinkFlap'd links
+  LookupSet<CityId> city_down_;    ///< FacilityOutage'd cities
   detail::Tables tables_;  ///< per-class fixpoint state, kept across deltas
   RouteTable table_;       ///< selection over tables_, patched per delta
   SavedClass cust_saved_;  ///< stage-1 delta snapshots

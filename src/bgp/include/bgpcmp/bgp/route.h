@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgpcmp/netbase/check.h"
@@ -56,6 +57,10 @@ struct BestRoute {
   [[nodiscard]] bool reachable() const { return cls != RouteClass::None; }
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, BestRoute& r) { a(r.cls, r.length, r.next_hop, r.via_edge); }
+
 /// Per-origin routing table: one BestRoute per AS in the graph.
 class RouteTable {
  public:
@@ -81,6 +86,8 @@ class RouteTable {
   }
   [[nodiscard]] bool reachable(AsIndex as) const { return at(as).reachable(); }
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  /// Every AS's row, by AS index.
+  [[nodiscard]] std::span<const BestRoute> routes() const { return routes_; }
 
   /// AS-level forwarding path [from, ..., origin]. Empty if unreachable.
   [[nodiscard]] std::vector<AsIndex> path(AsIndex from) const;

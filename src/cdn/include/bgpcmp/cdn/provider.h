@@ -35,6 +35,10 @@ struct Pop {
   std::vector<LinkId> links;  ///< provider links landed at this PoP
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, Pop& p) { a(p.id, p.city, p.links); }
+
 struct ProviderConfig {
   std::uint64_t seed = 21;
   std::string name = "CP";

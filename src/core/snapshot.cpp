@@ -98,44 +98,15 @@ void save_serving_snapshot(const std::string& path, const Scenario& scenario,
                            std::span<const topo::AsIndex> warmed,
                            const bgp::RouteCache& tables) {
   topo::SnapshotWriter w;
-  topo::serialize_internet(scenario.internet, w);
-
-  // Provider section.
-  w.u32(scenario.provider.as_index());
-  const auto pops = scenario.provider.pops();
-  w.u32(static_cast<std::uint32_t>(pops.size()));
-  for (const cdn::Pop& pop : pops) {
-    w.u32(pop.id);
-    w.u16(pop.city);
-    w.u32(static_cast<std::uint32_t>(pop.links.size()));
-    for (const topo::LinkId l : pop.links) w.u32(l);
-  }
-
-  // Clients section.
-  w.u32(static_cast<std::uint32_t>(scenario.clients.size()));
-  for (const traffic::ClientPrefix& client : scenario.clients.prefixes()) {
-    w.u32(client.prefix.network().bits());
-    w.u8(client.prefix.length());
-    w.u32(client.origin_as);
-    w.u16(client.city);
-    w.f64(client.user_weight);
-    w.f64(client.access.base_rtt_ms);
-  }
-
+  // World, provider (its AS and PoPs) and clients sections.
+  w(scenario.internet, scenario.provider.as_index(), scenario.provider.pops(),
+    scenario.clients.prefixes());
   // Tables section: every warmed origin's full per-AS route rows.
-  w.u32(static_cast<std::uint32_t>(warmed.size()));
+  w(static_cast<std::uint32_t>(warmed.size()));
   for (const topo::AsIndex origin : warmed) {
     const bgp::RouteTable* table = tables.find(origin);
     BGPCMP_CHECK(table != nullptr, "saving a serving snapshot with an unwarmed origin");
-    w.u32(origin);
-    w.u32(static_cast<std::uint32_t>(table->size()));
-    for (topo::AsIndex as = 0; as < table->size(); ++as) {
-      const bgp::BestRoute& route = table->at(as);
-      w.u8(static_cast<std::uint8_t>(route.cls));
-      w.u16(route.length);
-      w.u32(route.next_hop);
-      w.u32(route.via_edge);
-    }
+    w(origin, table->routes());
   }
 
   topo::SnapshotHeader header;
@@ -163,47 +134,27 @@ ServingState load_serving_snapshot(const std::string& path,
 
   // Provider: the AS and its links are already in the replayed world; restore
   // only the provider-side bookkeeping and sanity-bind it to the config.
-  const topo::AsIndex provider_as = r.u32();
+  topo::AsIndex provider_as = topo::kNoAs;
+  std::vector<cdn::Pop> pops;
+  r(provider_as, pops);
   BGPCMP_CHECK_LT(provider_as, world.graph.as_count(),
                   "snapshot provider AS outside the world");
   BGPCMP_CHECK_EQ(world.graph.node(provider_as).asn.value(), config.provider.asn,
                   "snapshot provider AS does not carry the configured ASN");
-  const std::uint32_t pop_count = r.u32();
-  std::vector<cdn::Pop> pops;
-  pops.reserve(pop_count);
-  for (std::uint32_t i = 0; i < pop_count; ++i) {
-    cdn::Pop pop;
-    pop.id = r.u32();
-    pop.city = r.u16();
-    const std::uint32_t links = r.u32();
-    pop.links.reserve(links);
-    for (std::uint32_t l = 0; l < links; ++l) {
-      const topo::LinkId link = r.u32();
+  for (const cdn::Pop& pop : pops) {
+    for (const topo::LinkId link : pop.links) {
       BGPCMP_CHECK_LT(link, world.graph.link_count(), "snapshot PoP link out of range");
-      pop.links.push_back(link);
     }
-    pops.push_back(std::move(pop));
   }
   cdn::ContentProvider provider =
       cdn::ContentProvider::restore(provider_as, std::move(pops), config.provider);
 
   // Clients.
-  const std::uint32_t prefix_count = r.u32();
   std::vector<traffic::ClientPrefix> prefixes;
-  prefixes.reserve(prefix_count);
-  for (std::uint32_t i = 0; i < prefix_count; ++i) {
-    traffic::ClientPrefix client;
-    const std::uint32_t bits = r.u32();
-    const std::uint8_t length = r.u8();
-    BGPCMP_CHECK_LE(length, 32, "snapshot prefix length out of range");
-    client.prefix = Prefix::make(Ipv4Address{bits}, length);
-    client.origin_as = r.u32();
+  r(prefixes);
+  for (const traffic::ClientPrefix& client : prefixes) {
     BGPCMP_CHECK_LT(client.origin_as, world.graph.as_count(),
                     "snapshot client origin out of range");
-    client.city = r.u16();
-    client.user_weight = r.f64();
-    client.access.base_rtt_ms = r.f64();
-    prefixes.push_back(client);
   }
   traffic::ClientBase clients = traffic::ClientBase::restore(std::move(prefixes));
 
@@ -212,27 +163,23 @@ ServingState load_serving_snapshot(const std::string& path,
                                      std::move(clients));
   // Tables decode against the scenario's (now final) graph address.
   const topo::AsGraph* graph = &state.scenario->internet.graph;
-  const std::uint32_t table_count = r.u32();
+  const std::uint32_t table_count =
+      r.count(topo::min_wire_size<topo::AsIndex>() +
+              topo::min_wire_size<std::vector<bgp::BestRoute>>());
   state.warmed.reserve(table_count);
   state.tables.reserve(table_count);
   for (std::uint32_t i = 0; i < table_count; ++i) {
-    const topo::AsIndex origin = r.u32();
+    topo::AsIndex origin = topo::kNoAs;
+    r(origin);
     BGPCMP_CHECK_LT(origin, graph->as_count(), "snapshot table origin out of range");
-    const std::uint32_t rows = r.u32();
+    const std::uint32_t rows = r.count(topo::min_wire_size<bgp::BestRoute>());
     BGPCMP_CHECK_EQ(rows, graph->as_count(),
                     "snapshot route table does not cover every AS");
-    std::vector<bgp::BestRoute> routes;
-    routes.reserve(rows);
-    for (std::uint32_t as = 0; as < rows; ++as) {
-      bgp::BestRoute route;
-      const std::uint8_t cls = r.u8();
-      BGPCMP_CHECK_LE(cls, static_cast<std::uint8_t>(bgp::RouteClass::Provider),
+    std::vector<bgp::BestRoute> routes(rows);
+    for (bgp::BestRoute& route : routes) {
+      r(route);
+      BGPCMP_CHECK_LE(route.cls, bgp::RouteClass::Provider,
                       "snapshot route class out of range");
-      route.cls = static_cast<bgp::RouteClass>(cls);
-      route.length = r.u16();
-      route.next_hop = r.u32();
-      route.via_edge = r.u32();
-      routes.push_back(route);
     }
     state.warmed.push_back(origin);
     state.tables.emplace_back(graph, origin, std::move(routes));

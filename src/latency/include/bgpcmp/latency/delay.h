@@ -12,6 +12,10 @@ struct AccessProfile {
   double base_rtt_ms = 8.0;  ///< fixed last-mile RTT component
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, AccessProfile& p) { a(p.base_rtt_ms); }
+
 struct RttBreakdown {
   Milliseconds propagation;  ///< 2x one-way fiber delay over the inflated path
   Milliseconds processing;   ///< per-AS-crossing router/serialization cost

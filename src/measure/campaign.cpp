@@ -1,9 +1,9 @@
 #include "bgpcmp/measure/campaign.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "bgpcmp/exec/thread_pool.h"
+#include "bgpcmp/netbase/lookup.h"
 
 namespace bgpcmp::measure {
 
@@ -29,11 +29,11 @@ std::vector<TierSample> Campaign::run(Rng& rng) const {
 
   // Tier routes are static per client (BGP is recomputed only on announcement
   // changes); resolve each distinct vantage once, in parallel.
-  std::unordered_map<traffic::PrefixId, std::size_t> route_slot;
+  LookupMap<traffic::PrefixId, std::size_t> route_slot;
   std::vector<traffic::PrefixId> unique_ids;
   for (const auto& vantages : daily) {
     for (const auto id : vantages) {
-      if (route_slot.emplace(id, unique_ids.size()).second) {
+      if (route_slot.try_emplace(id, unique_ids.size()).second) {
         unique_ids.push_back(id);
       }
     }

@@ -107,16 +107,6 @@
 /// the body. Expands to nothing.
 #define BGPCMP_PURE_CHUNK
 
-/// Marks a function as one side of a snapshot wire codec: `section` names the
-/// writer/reader pair (world, serving, header) and `role` is writer or
-/// reader. detlint D8 parses the struct definition of every type the pair
-/// touches, matches the writer's field-access sequence against the reader's
-/// (order-sensitive), requires every non-waived field of a serialized struct
-/// to cross the wire, and pins the whole layout in
-/// tools/detlint/snapshot_schema.lock — any drift without a matching
-/// kSnapshotVersion bump fails the scan. Expands to nothing.
-#define BGPCMP_SNAPSHOT_CODEC(section, role)
-
 /// Ranks a Mutex in the global acquisition order. detlint D6 builds the
 /// acquisition graph from MutexLock/.lock() sites (including locks reached
 /// through calls made while a lock is held) and fails on any cycle; where

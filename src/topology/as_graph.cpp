@@ -145,14 +145,14 @@ AsIndex AsGraph::add_as(Asn asn, AsClass cls, std::string name,
   for (const CityId c : nodes_.back().presence) {
     presence_set_.insert(presence_key(idx, c));
   }
-  index_by_asn_.emplace(asn.value(), idx);  // first add of an ASN wins
+  index_by_asn_.try_emplace(asn.value(), idx);  // first add of an ASN wins
   edge_index_cache_.store(nullptr, std::memory_order_release);
   return idx;
 }
 
 void AsGraph::add_presence(AsIndex i, CityId city) {
   BGPCMP_CHECK_LT(i, nodes_.size(), "AS index out of range");
-  if (!presence_set_.insert(presence_key(i, city)).second) return;
+  if (!presence_set_.insert(presence_key(i, city))) return;
   nodes_[i].presence.push_back(city);
 }
 
@@ -165,7 +165,7 @@ EdgeId AsGraph::connect_transit(AsIndex provider, AsIndex customer) {
   const auto id = static_cast<EdgeId>(edges_.size() - 1);
   nodes_[provider].edges.push_back(id);
   nodes_[customer].edges.push_back(id);
-  edge_by_pair_.emplace(pair_key(provider, customer), id);
+  edge_by_pair_.try_emplace(pair_key(provider, customer), id);
   edge_index_cache_.store(nullptr, std::memory_order_release);
   return id;
 }
@@ -179,7 +179,7 @@ EdgeId AsGraph::connect_peering(AsIndex a, AsIndex b) {
   const auto id = static_cast<EdgeId>(edges_.size() - 1);
   nodes_[a].edges.push_back(id);
   nodes_[b].edges.push_back(id);
-  edge_by_pair_.emplace(pair_key(a, b), id);
+  edge_by_pair_.try_emplace(pair_key(a, b), id);
   edge_index_cache_.store(nullptr, std::memory_order_release);
   return id;
 }
@@ -223,10 +223,10 @@ void AsGraph::adopt(std::vector<AsNode> nodes, std::vector<AsEdge> edges,
   edge_by_pair_.reserve(edges_.size());
   for (AsIndex i = 0; i < nodes_.size(); ++i) {
     for (const CityId c : nodes_[i].presence) presence_set_.insert(presence_key(i, c));
-    index_by_asn_.emplace(nodes_[i].asn.value(), i);  // first add of an ASN wins
+    index_by_asn_.try_emplace(nodes_[i].asn.value(), i);  // first add of an ASN wins
   }
   for (EdgeId e = 0; e < edges_.size(); ++e) {
-    edge_by_pair_.emplace(pair_key(edges_[e].a, edges_[e].b), e);
+    edge_by_pair_.try_emplace(pair_key(edges_[e].a, edges_[e].b), e);
   }
   edge_index_cache_.store(nullptr, std::memory_order_release);
 }
@@ -257,20 +257,20 @@ NeighborRole AsGraph::role_of_other(EdgeId e, AsIndex i) const {
 
 std::optional<EdgeId> AsGraph::find_edge(AsIndex a, AsIndex b) const {
   if (a >= nodes_.size() || b >= nodes_.size()) return std::nullopt;
-  const auto it = edge_by_pair_.find(pair_key(a, b));
-  if (it == edge_by_pair_.end()) return std::nullopt;
-  return it->second;
+  const EdgeId* e = edge_by_pair_.find(pair_key(a, b));
+  if (e == nullptr) return std::nullopt;
+  return *e;
 }
 
 bool AsGraph::has_presence(AsIndex i, CityId city) const {
   BGPCMP_CHECK_LT(i, nodes_.size(), "AS index out of range");
-  return presence_set_.count(presence_key(i, city)) != 0;
+  return presence_set_.contains(presence_key(i, city));
 }
 
 std::optional<AsIndex> AsGraph::find_asn(Asn asn) const {
-  const auto it = index_by_asn_.find(asn.value());
-  if (it == index_by_asn_.end()) return std::nullopt;
-  return it->second;
+  const AsIndex* i = index_by_asn_.find(asn.value());
+  if (i == nullptr) return std::nullopt;
+  return *i;
 }
 
 std::vector<AsIndex> AsGraph::of_class(AsClass c) const {

@@ -14,11 +14,10 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgpcmp/netbase/asn.h"
+#include "bgpcmp/netbase/lookup.h"
 #include "bgpcmp/netbase/units.h"
 #include "bgpcmp/topology/city.h"
 
@@ -65,6 +64,10 @@ struct InterconnectLink {
   GigabitsPerSecond capacity{100.0};
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, InterconnectLink& l) { a(l.edge, l.city, l.kind, l.capacity); }
+
 /// An adjacency between two ASes. `rel == ProviderCustomer` means node `a` is
 /// the provider and `b` the customer.
 struct AsEdge {
@@ -75,6 +78,10 @@ struct AsEdge {
   /// part of the edge's own wire layout.
   std::vector<LinkId> links;  // lint:allow(D8)
 };
+
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, AsEdge& e) { a(e.a, e.b, e.rel); }
 
 /// An Autonomous System.
 struct AsNode {
@@ -88,6 +95,12 @@ struct AsNode {
   /// load rather than serialized.
   std::vector<EdgeId> edges;  // lint:allow(D8)
 };
+
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, AsNode& n) {
+  a(n.asn, n.cls, n.name, n.presence, n.hub, n.backbone_inflation);
+}
 
 /// Role of a neighbor from one endpoint's point of view.
 enum class NeighborRole : std::uint8_t { Customer, Peer, Provider };
@@ -278,9 +291,9 @@ class AsGraph {
   // Unlike the CSR snapshot below they are never invalidated wholesale —
   // every mutation updates them in place, so reads are always O(1) even
   // mid-construction (build_internet queries the half-built graph heavily).
-  std::unordered_set<std::uint64_t> presence_set_;          ///< presence_key()
-  std::unordered_map<std::uint64_t, EdgeId> edge_by_pair_;  ///< pair_key()
-  std::unordered_map<std::uint32_t, AsIndex> index_by_asn_;
+  LookupSet<std::uint64_t> presence_set_;          ///< presence_key()
+  LookupMap<std::uint64_t, EdgeId> edge_by_pair_;  ///< pair_key()
+  LookupMap<std::uint32_t, AsIndex> index_by_asn_;
   /// Lazily-built CSR snapshot; null until first edge_index() call and after
   /// every incidence-changing mutation. Atomic so concurrent first reads of
   /// an immutable graph are race-free (see edge_index()).

@@ -21,6 +21,10 @@ struct Ixp {
   [[nodiscard]] bool is_member(AsIndex as) const;
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, Ixp& x) { a(x.name, x.city, x.members); }
+
 /// Choose IXP host cities: the top `per_region` cities by user weight in each
 /// region (major metros host the big exchanges).
 [[nodiscard]] std::vector<CityId> choose_ixp_cities(const CityDb& db,

@@ -79,6 +79,12 @@ struct Internet {
   void rebuild_ixp_index();
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, Internet& net) {
+  a(net.graph, net.ixps, net.tier1s, net.transits, net.eyeballs, net.stubs);
+}
+
 BGPCMP_PHASE(build)
 [[nodiscard]] Internet build_internet(const InternetConfig& config);
 

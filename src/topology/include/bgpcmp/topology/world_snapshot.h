@@ -13,13 +13,23 @@
 // Version policy: `kSnapshotVersion` bumps on ANY layout change — there is no
 // cross-version decoding. A loader that sees a different version rejects the
 // file via BGPCMP_CHECK and the caller falls back to a rebuild; snapshots are
-// a warm-start cache, never an archival format.
+// a warm-start cache, never an archival format. Each serialized struct has
+// one field list, `template <class A> void fields(A& a, T& t)`, next to its
+// definition; SnapshotWriter and SnapshotReader both run through it, so the
+// wire order is the fields() order, and detlint D8 requires that to be the
+// declaration order its schema lock digests.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
+#include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/ipaddr.h"
 #include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/topology/topology_gen.h"
 
@@ -56,6 +66,12 @@ struct SnapshotHeader {
 /// payload_size(8) + payload_hash(8).
 inline constexpr std::size_t kSnapshotHeaderSize = 48;
 
+/// Snapshot wire fields (the header after the magic), in declaration order.
+template <class A>
+void fields(A& a, SnapshotHeader& h) {
+  a(h.version, h.sections, h.config_fp, h.world_fp, h.payload_size, h.payload_hash);
+}
+
 /// Integrity hash over raw bytes: FNV-1a 64 folded over little-endian u64
 /// lanes (length first, then whole words, then the byte-wise tail). Lane
 /// folding makes hashing a multi-megabyte payload ~8x cheaper than the
@@ -83,59 +99,149 @@ enum class SnapshotVerify : std::uint8_t {
   kFull,     ///< + recomputed internet_fingerprint == stored world_fp
 };
 
-/// Appends little-endian scalars to a byte string. Byte-wise writes keep the
-/// format independent of host endianness and alignment.
+/// The writing archive: appends values to a byte string in wire form,
+/// byte-wise little-endian, independent of host endianness and alignment.
 class SnapshotWriter {
  public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  /// IEEE-754 bit pattern via the u64 path: doubles round-trip exactly.
-  void f64(double v);
-  /// u32 length followed by the raw bytes.
-  void str(std::string_view s);
+  /// Append each value: unsigned integers at their width, enums as u8,
+  /// doubles as their IEEE-754 bits (so they round-trip exactly), Asn and
+  /// GigabitsPerSecond as their value, a Prefix as network u32 + length u8,
+  /// strings, vectors and spans as a u32 count then the elements, an
+  /// AsGraph as its three counts then its nodes, edges and links, and any
+  /// other struct through its fields().
+  template <class... T>
+  void operator()(const T&... values) { (put(values), ...); }
 
   [[nodiscard]] const std::string& bytes() const { return out_; }
-  [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  template <class T>
+  void put(const T& v);
+  void put(const AsGraph& g);
+
   std::string out_;
 };
 
-/// Bounds-checked little-endian reader over a byte view. Every read
-/// BGPCMP_CHECKs the remaining length, so a truncated payload trips a check
-/// (catchable via ScopedCheckThrows) instead of reading out of bounds.
+/// Smallest encoding of a T: that of a default-constructed one, whose
+/// strings and vectors are empty. The reader bounds declared counts with it.
+template <class T>
+[[nodiscard]] std::size_t min_wire_size() {
+  static const std::size_t size = [] {
+    SnapshotWriter w;
+    w(T{});
+    return w.bytes().size();
+  }();
+  return size;
+}
+
+/// The reading archive over a byte view. Every read BGPCMP_CHECKs the bytes
+/// left, so a truncated payload trips a check (catchable via
+/// ScopedCheckThrows) instead of reading out of bounds. Enum values are
+/// stored as read: range-checking them, and every cross-reference, is the
+/// loader's job.
 class SnapshotReader {
  public:
   explicit SnapshotReader(std::string_view bytes) : bytes_(bytes) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  /// View into the underlying buffer; valid while the buffer lives.
-  [[nodiscard]] std::string_view str();
+  /// Read each value in the wire form SnapshotWriter::operator() writes.
+  template <class... T>
+  void operator()(T&... values) { (get(values), ...); }
+  /// A u32 element count, checked so that that many elements of at least
+  /// `min_size` bytes each fit in the bytes left: a corrupt count fails here
+  /// instead of sizing an allocation beyond the payload.
+  [[nodiscard]] std::uint32_t count(std::size_t min_size);
 
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
+  template <class T>
+  void get(T& v);
+  /// Decode the three arrays (range-checked per element) and bulk-adopt them.
+  void get(AsGraph& g);
+
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
-/// Serialize every structural field of a built world (nodes, edges, links,
-/// IXPs with memberships, per-class index lists) as one world section.
-BGPCMP_SNAPSHOT_CODEC(world, writer)
-void serialize_internet(const Internet& net, SnapshotWriter& w);
+template <class T>
+void SnapshotWriter::put(const T& v) {
+  if constexpr (std::is_unsigned_v<T>) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "wire enums are one byte");
+    put(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    put(std::bit_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, Asn> || std::is_same_v<T, GigabitsPerSecond>) {
+    put(v.value());
+  } else if constexpr (std::is_same_v<T, Prefix>) {
+    put(v.network().bits());
+    put(v.length());
+  } else if constexpr (requires { v.size(); v.begin(); }) {
+    BGPCMP_CHECK_LE(v.size(), 0xffffffffULL, "snapshot sequence too long");
+    put(static_cast<std::uint32_t>(v.size()));
+    if constexpr (std::is_same_v<T, std::string>) {
+      out_ += v;
+    } else {
+      for (const auto& e : v) put(e);
+    }
+  } else {
+    // One field list serves both archives; the writer only reads through it.
+    fields(*this, const_cast<T&>(v));
+  }
+}
+
+template <class T>
+void SnapshotReader::get(T& v) {
+  if constexpr (std::is_unsigned_v<T>) {
+    BGPCMP_CHECK_LE(sizeof(T), remaining(), "snapshot payload truncated");
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+    } else {
+      v = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(T{static_cast<unsigned char>(bytes_[pos_ + i])} << (8 * i));
+      }
+    }
+    pos_ += sizeof(T);
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "wire enums are one byte");
+    std::uint8_t raw = 0;
+    get(raw);
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, double>) {
+    std::uint64_t bits = 0;
+    get(bits);
+    v = std::bit_cast<double>(bits);
+  } else if constexpr (std::is_same_v<T, Asn> || std::is_same_v<T, GigabitsPerSecond>) {
+    decltype(v.value()) raw{};
+    get(raw);
+    v = T{raw};
+  } else if constexpr (std::is_same_v<T, Prefix>) {
+    std::uint32_t bits = 0;
+    std::uint8_t length = 0;
+    (*this)(bits, length);
+    BGPCMP_CHECK_LE(length, 32, "snapshot prefix length out of range");
+    v = Prefix::make(Ipv4Address{bits}, length);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    const std::uint32_t n = count(1);
+    v.assign(bytes_.data() + pos_, n);
+    pos_ += n;
+  } else if constexpr (requires { v.resize(0); }) {  // a vector
+    v.resize(count(min_wire_size<typename T::value_type>()));
+    for (auto& e : v) get(e);
+  } else {
+    fields(*this, v);
+  }
+}
 
 /// Decode one world section into bulk-adopted graph arrays (range-checked
 /// per element), then rebuild the IXP index. Cities bind to CityDb::world().
 /// Callers wanting codec-bug protection verify `internet_fingerprint()`
 /// against the header (SnapshotVerify::kFull).
-BGPCMP_SNAPSHOT_CODEC(world, reader)
 [[nodiscard]] Internet deserialize_internet(SnapshotReader& r);
 
 /// A loaded snapshot: validated header plus payload bytes, mmap-backed where
@@ -173,7 +279,6 @@ class SnapshotFile {
 /// Write header + payload atomically enough for our use (tmp-free single
 /// ofstream; snapshots are caches, a torn write is caught by the hash on
 /// load). Fills in payload_size/payload_hash from the payload.
-BGPCMP_SNAPSHOT_CODEC(header, writer)
 void write_snapshot_file(const std::string& path, SnapshotHeader header,
                          std::string_view payload);
 

@@ -1,6 +1,7 @@
 #include "bgpcmp/topology/topology_gen.h"
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/lookup.h"
 #include "bgpcmp/topology/build_util.h"
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace bgpcmp::topo {
 
@@ -303,17 +303,18 @@ Internet build_internet(const InternetConfig& config) {
   std::vector<std::string_view> countries;
   std::vector<double> country_weights;
   std::vector<std::vector<CityId>> country_cities_tab;
-  std::unordered_map<std::string_view, std::size_t> country_slot;
+  LookupMap<std::string_view, std::size_t> country_slot;
   for (CityId c = 0; c < db.size(); ++c) {
     const auto& city = db.at(c);
-    const auto [it, inserted] = country_slot.emplace(city.country, countries.size());
+    const auto [slot, inserted] =
+        country_slot.try_emplace(city.country, countries.size());
     if (inserted) {
       countries.push_back(city.country);
       country_weights.push_back(city.user_weight);
       country_cities_tab.push_back({c});
     } else {
-      country_weights[it->second] += city.user_weight;
-      country_cities_tab[it->second].push_back(c);
+      country_weights[slot] += city.user_weight;
+      country_cities_tab[slot].push_back(c);
     }
   }
   // Hub per country: the biggest metro (first such city on ties, matching the

@@ -58,144 +58,30 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Writer / reader primitives.
-
-void SnapshotWriter::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-void SnapshotWriter::u16(std::uint16_t v) {
-  out_.push_back(static_cast<char>(v & 0xff));
-  out_.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void SnapshotWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void SnapshotWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void SnapshotWriter::str(std::string_view s) {
-  BGPCMP_CHECK_LT(s.size(), 0xffffffffULL, "snapshot string too long");
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-std::uint8_t SnapshotReader::u8() {
-  BGPCMP_CHECK_LE(pos_ + 1, bytes_.size(), "snapshot payload truncated");
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-// The scalar readers memcpy whole words on little-endian hosts (the wire
-// format is little-endian, so no swap is needed) and fall back to byte
-// assembly elsewhere; the bounds CHECK stays on every path.
-
-std::uint16_t SnapshotReader::u16() {
-  BGPCMP_CHECK_LE(pos_ + 2, bytes_.size(), "snapshot payload truncated");
-  std::uint16_t v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, bytes_.data() + pos_, 2);
-    pos_ += 2;
-  } else {
-    for (int i = 0; i < 2; ++i) {
-      v |= static_cast<std::uint16_t>(static_cast<unsigned char>(bytes_[pos_++])) << (8 * i);
-    }
-  }
-  return v;
-}
-
-std::uint32_t SnapshotReader::u32() {
-  BGPCMP_CHECK_LE(pos_ + 4, bytes_.size(), "snapshot payload truncated");
-  std::uint32_t v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-  } else {
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes_[pos_++])) << (8 * i);
-    }
-  }
-  return v;
-}
-
-std::uint64_t SnapshotReader::u64() {
-  BGPCMP_CHECK_LE(pos_ + 8, bytes_.size(), "snapshot payload truncated");
-  std::uint64_t v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_++])) << (8 * i);
-    }
-  }
-  return v;
-}
-
-double SnapshotReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string_view SnapshotReader::str() {
-  const std::uint32_t n = u32();
-  BGPCMP_CHECK_LE(static_cast<std::size_t>(n), bytes_.size() - pos_,
-                  "snapshot string runs past the payload");
-  const std::string_view out = bytes_.substr(pos_, n);
-  pos_ += n;
-  return out;
+std::uint32_t SnapshotReader::count(std::size_t min_size) {
+  std::uint32_t n = 0;
+  get(n);
+  BGPCMP_CHECK_LE(static_cast<std::uint64_t>(n) * min_size, remaining(),
+                  "snapshot payload truncated: count runs past the payload");
+  return n;
 }
 
 // ---------------------------------------------------------------------------
 // World section codec.
 
-void serialize_internet(const Internet& net, SnapshotWriter& w) {
-  const AsGraph& g = net.graph;
-  w.u32(static_cast<std::uint32_t>(g.as_count()));
-  w.u32(static_cast<std::uint32_t>(g.edge_count()));
-  w.u32(static_cast<std::uint32_t>(g.link_count()));
-
-  for (const AsNode& n : g.nodes()) {
-    w.u32(n.asn.value());
-    w.u8(static_cast<std::uint8_t>(n.cls));
-    w.str(n.name);
-    w.u32(static_cast<std::uint32_t>(n.presence.size()));
-    for (const CityId c : n.presence) w.u16(c);
-    w.u16(n.hub);
-    w.f64(n.backbone_inflation);
-  }
-  for (const AsEdge& e : g.edges()) {
-    w.u32(e.a);
-    w.u32(e.b);
-    w.u8(static_cast<std::uint8_t>(e.rel));
-  }
-  for (const InterconnectLink& l : g.links()) {
-    w.u32(l.edge);
-    w.u16(l.city);
-    w.u8(static_cast<std::uint8_t>(l.kind));
-    w.f64(l.capacity.value());
-  }
-
-  w.u32(static_cast<std::uint32_t>(net.ixps.size()));
-  for (const Ixp& x : net.ixps) {
-    w.str(x.name);
-    w.u16(x.city);
-    w.u32(static_cast<std::uint32_t>(x.members.size()));
-    for (const AsIndex m : x.members) w.u32(m);
-  }
-  for (const std::vector<AsIndex>* list : {&net.tier1s, &net.transits, &net.eyeballs, &net.stubs}) {
-    w.u32(static_cast<std::uint32_t>(list->size()));
-    for (const AsIndex i : *list) w.u32(i);
-  }
+void SnapshotWriter::put(const AsGraph& g) {
+  (*this)(static_cast<std::uint32_t>(g.as_count()),
+          static_cast<std::uint32_t>(g.edge_count()),
+          static_cast<std::uint32_t>(g.link_count()));
+  for (const AsNode& n : g.nodes()) put(n);
+  for (const AsEdge& e : g.edges()) put(e);
+  for (const InterconnectLink& l : g.links()) put(l);
 }
 
-Internet deserialize_internet(SnapshotReader& r) {
-  Internet net;
-  net.cities = &CityDb::world();
-
-  const std::uint32_t as_count = r.u32();
-  const std::uint32_t edge_count = r.u32();
-  const std::uint32_t link_count = r.u32();
+void SnapshotReader::get(AsGraph& g) {
+  const std::uint32_t as_count = count(min_wire_size<AsNode>());
+  const std::uint32_t edge_count = count(min_wire_size<AsEdge>());
+  const std::uint32_t link_count = count(min_wire_size<InterconnectLink>());
 
   // Build the arrays directly and bulk-adopt them instead of replaying the
   // mutators one call at a time: the per-call invariant churn (presence and
@@ -203,72 +89,41 @@ Internet deserialize_internet(SnapshotReader& r) {
   // serving cold start, re-checking facts the caller's fingerprint
   // verification pins anyway. Derived state is reconstructed in mutator
   // order — edge ids pushed a-then-b, link ids appended in id order — so the
-  // adopted graph is byte-identical to a replayed one.
-  std::vector<AsNode> nodes;
-  nodes.reserve(as_count);
-  for (std::uint32_t i = 0; i < as_count; ++i) {
-    AsNode n;
-    n.asn = Asn{r.u32()};
-    const std::uint8_t cls = r.u8();
-    BGPCMP_CHECK_LE(cls, static_cast<std::uint8_t>(AsClass::Content),
-                    "snapshot AS class out of range");
-    n.cls = static_cast<AsClass>(cls);
-    n.name = std::string{r.str()};
-    const std::uint32_t presence_count = r.u32();
-    n.presence.reserve(presence_count);
-    for (std::uint32_t p = 0; p < presence_count; ++p) n.presence.push_back(r.u16());
-    // The stored hub is already resolved, so the first-city default that
-    // add_as applies never re-fires here.
-    n.hub = r.u16();
-    n.backbone_inflation = r.f64();
-    nodes.push_back(std::move(n));
+  // adopted graph is byte-identical to a replayed one. The stored hub is
+  // already resolved, so the first-city default that add_as applies never
+  // re-fires here.
+  std::vector<AsNode> nodes(as_count);
+  for (AsNode& n : nodes) {
+    get(n);
+    BGPCMP_CHECK_LE(n.cls, AsClass::Content, "snapshot AS class out of range");
   }
-  std::vector<AsEdge> edges;
-  edges.reserve(edge_count);
-  for (std::uint32_t i = 0; i < edge_count; ++i) {
-    const AsIndex a = r.u32();
-    const AsIndex b = r.u32();
-    const std::uint8_t rel = r.u8();
-    BGPCMP_CHECK_LE(rel, static_cast<std::uint8_t>(Relationship::PeerPeer),
+  std::vector<AsEdge> edges(edge_count);
+  for (EdgeId i = 0; i < edge_count; ++i) {
+    AsEdge& e = edges[i];
+    get(e);
+    BGPCMP_CHECK_LE(e.rel, Relationship::PeerPeer,
                     "snapshot edge relationship out of range");
-    BGPCMP_CHECK_LT(a, as_count, "snapshot edge endpoint out of range");
-    BGPCMP_CHECK_LT(b, as_count, "snapshot edge endpoint out of range");
-    edges.push_back(AsEdge{a, b, static_cast<Relationship>(rel), {}});
-    nodes[a].edges.push_back(i);
-    nodes[b].edges.push_back(i);
+    BGPCMP_CHECK_LT(e.a, as_count, "snapshot edge endpoint out of range");
+    BGPCMP_CHECK_LT(e.b, as_count, "snapshot edge endpoint out of range");
+    nodes[e.a].edges.push_back(i);
+    nodes[e.b].edges.push_back(i);
   }
-  std::vector<InterconnectLink> links;
-  links.reserve(link_count);
-  for (std::uint32_t i = 0; i < link_count; ++i) {
-    const EdgeId edge = r.u32();
-    const CityId city = r.u16();
-    const std::uint8_t kind = r.u8();
-    BGPCMP_CHECK_LE(kind, static_cast<std::uint8_t>(LinkKind::PrivatePeering),
+  std::vector<InterconnectLink> links(link_count);
+  for (LinkId i = 0; i < link_count; ++i) {
+    InterconnectLink& l = links[i];
+    get(l);
+    BGPCMP_CHECK_LE(l.kind, LinkKind::PrivatePeering,
                     "snapshot link kind out of range");
-    BGPCMP_CHECK_LT(edge, edge_count, "snapshot link edge out of range");
-    const double capacity = r.f64();
-    links.push_back(InterconnectLink{edge, city, static_cast<LinkKind>(kind),
-                                     GigabitsPerSecond{capacity}});
-    edges[edge].links.push_back(i);
+    BGPCMP_CHECK_LT(l.edge, edge_count, "snapshot link edge out of range");
+    edges[l.edge].links.push_back(i);
   }
-  net.graph.adopt(std::move(nodes), std::move(edges), std::move(links));
+  g.adopt(std::move(nodes), std::move(edges), std::move(links));
+}
 
-  const std::uint32_t ixp_count = r.u32();
-  net.ixps.reserve(ixp_count);
-  for (std::uint32_t i = 0; i < ixp_count; ++i) {
-    Ixp x;
-    x.name = std::string{r.str()};
-    x.city = r.u16();
-    const std::uint32_t members = r.u32();
-    x.members.reserve(members);
-    for (std::uint32_t m = 0; m < members; ++m) x.members.push_back(r.u32());
-    net.ixps.push_back(std::move(x));
-  }
-  for (std::vector<AsIndex>* list : {&net.tier1s, &net.transits, &net.eyeballs, &net.stubs}) {
-    const std::uint32_t n = r.u32();
-    list->reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) list->push_back(r.u32());
-  }
+Internet deserialize_internet(SnapshotReader& r) {
+  Internet net;
+  r(net);
+  net.cities = &CityDb::world();
   net.rebuild_ixp_index();
   return net;
 }
@@ -291,12 +146,7 @@ void write_snapshot_file(const std::string& path, SnapshotHeader header,
   std::string head;
   head.assign(kSnapshotMagic, sizeof kSnapshotMagic);
   SnapshotWriter hw;
-  hw.u32(header.version);
-  hw.u32(header.sections);
-  hw.u64(header.config_fp);
-  hw.u64(header.world_fp);
-  hw.u64(header.payload_size);
-  hw.u64(header.payload_hash);
+  hw(header);
   head += hw.bytes();
   BGPCMP_CHECK_EQ(head.size(), kSnapshotHeaderSize, "snapshot header layout drifted");
 
@@ -307,24 +157,6 @@ void write_snapshot_file(const std::string& path, SnapshotHeader header,
   out.flush();
   BGPCMP_CHECK(out.good(), "snapshot write failed");
 }
-
-namespace {
-
-/// The header fields after the magic, in write_snapshot_file's order.
-BGPCMP_SNAPSHOT_CODEC(header, reader)
-SnapshotHeader decode_header(std::string_view fields) {
-  SnapshotReader r(fields);
-  SnapshotHeader header;
-  header.version = r.u32();
-  header.sections = r.u32();
-  header.config_fp = r.u64();
-  header.world_fp = r.u64();
-  header.payload_size = r.u64();
-  header.payload_hash = r.u64();
-  return header;
-}
-
-}  // namespace
 
 // Delegates to the default constructor so the object is complete before the
 // body runs: a check that throws after the mmap still unmaps it.
@@ -359,8 +191,9 @@ SnapshotFile::SnapshotFile(const std::string& path) : SnapshotFile() {
   BGPCMP_CHECK_LE(kSnapshotHeaderSize, size_, "snapshot file shorter than its header");
   BGPCMP_CHECK_EQ(std::memcmp(data_, kSnapshotMagic, sizeof kSnapshotMagic), 0,
                   "not a bgpcmp snapshot (bad magic)");
-  header_ = decode_header(
+  SnapshotReader head(
       {data_ + sizeof kSnapshotMagic, kSnapshotHeaderSize - sizeof kSnapshotMagic});
+  head(header_);
   BGPCMP_CHECK_EQ(header_.version, kSnapshotVersion,
                   "snapshot version mismatch; rebuild the snapshot");
   BGPCMP_CHECK_EQ(header_.payload_size, size_ - kSnapshotHeaderSize,
@@ -384,7 +217,7 @@ std::uint64_t world_config_fingerprint(const InternetConfig& config) {
 void save_world_snapshot(const std::string& path, const Internet& net,
                          const InternetConfig& config) {
   SnapshotWriter w;
-  serialize_internet(net, w);
+  w(net);
   SnapshotHeader header;
   header.sections = kSectionWorld;
   header.config_fp = world_config_fingerprint(config);

@@ -33,6 +33,12 @@ struct ClientPrefix {
   lat::AccessProfile access;
 };
 
+/// Snapshot wire fields (world_snapshot.h), in declaration order.
+template <class A>
+void fields(A& a, ClientPrefix& c) {
+  a(c.prefix, c.origin_as, c.city, c.user_weight, c.access);
+}
+
 struct ClientBaseConfig {
   std::uint64_t seed = 7;
   int prefixes_per_eyeball_city = 2;

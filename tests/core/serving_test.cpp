@@ -156,5 +156,46 @@ TEST(ServingSnapshotTest, FingerprintCoversEveryConfigSection) {
   EXPECT_NE(scenario_config_fingerprint(latency), fp);
 }
 
+// A hostile serving snapshot with a valid header hash and a table count its
+// payload cannot hold must fail the count's bound check, not reserve
+// 0xFFFFFFFF tables.
+TEST(ServingSnapshot, HugeTableCountReportsCountPastPayload) {
+  const auto cfg = small_config();
+  const auto world = ServingWorld::build(cfg, small_serving());
+  const auto path = tmp_path("serving_huge_table_count.snap");
+  world->save(path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The tables section closes the payload: a u32 count, then per warmed
+  // origin a u32 origin, a u32 row count and one 11-byte row per AS.
+  const std::size_t rows = world->scenario().internet.graph.as_count();
+  const std::size_t tables_bytes = 4 + world->warmed().size() * (4 + 4 + rows * 11);
+  const std::size_t count_at = bytes.size() - tables_bytes;
+  for (std::size_t i = 0; i < 4; ++i) bytes[count_at + i] = static_cast<char>(0xff);
+  // Re-seal payload_hash (@40; the size is unchanged) so the failure comes
+  // from the tables decode, not from the whole-file integrity gates.
+  const std::uint64_t hash = topo::snapshot_hash(
+      std::string_view{bytes}.substr(topo::kSnapshotHeaderSize));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[40 + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ScopedCheckThrows guard;
+  try {
+    (void)ServingWorld::load(path, cfg);
+    FAIL() << "huge table count was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string{e.what()}.find("count runs past the payload"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace bgpcmp::core

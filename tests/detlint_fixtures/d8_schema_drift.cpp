@@ -1,33 +1,28 @@
 // detlint fixture: rule D8 (serialization-schema drift), firing cases.
 //
-// One BGPCMP_SNAPSHOT_CODEC(fix, ...) pair serializes four record types;
-// the fixture lock file (d8_schema.lock, version 3) carries a correct
-// digest for every type except DriftRec, whose locked digest was taken
-// before a field rename. Deliberately NOT compiled; the macros and the
-// local SnapshotWriter/SnapshotReader stand in for the real headers.
-#define BGPCMP_SNAPSHOT_CODEC(section, role)
-
+// Each record type has one field list, `fields(A& a, T& t)`, which the
+// snapshot writer and reader both run through, so the two cannot disagree.
+// D8 checks that a list names every non-waived member exactly once, in
+// declaration order, and pins each layout in the fixture lock file
+// (d8_schema.lock, version 3). Its digests are correct for every type except
+// DriftRec, whose locked digest was taken before a field rename.
+// Deliberately NOT compiled.
 namespace fixture_d8 {
 
 constexpr unsigned kSnapshotVersion = 3;
 
-struct SnapshotWriter {
-  void u32(unsigned v);
-  void f64(double v);
-};
-
-struct SnapshotReader {
-  unsigned u32();
-  double f64();
-};
-
-// Fully clean: every non-waived field crosses the wire in the same order on
-// both sides; `derived` is recomputed on load and waived.
+// Fully clean: every non-waived member is listed once, in declaration
+// order; `derived` is recomputed on load and waived.
 struct GoodRec {
   unsigned a = 0;
   double b = 0.0;
   int derived = 0;  // lint:allow(D8)
 };
+
+template <class A>
+void fields(A& ar, GoodRec& g) {
+  ar(g.a, g.b);
+}
 
 // The lock was taken when the second field was still called `yy`; the digest
 // no longer matches, and kSnapshotVersion was not bumped.
@@ -36,7 +31,12 @@ struct DriftRec {  // expect: D8
   double y = 0.0;
 };
 
-// The writer forgets `r`: an unserialized field in a serialized struct is an
+template <class A>
+void fields(A& ar, DriftRec& d) {
+  ar(d.x, d.y);
+}
+
+// The field list forgets `r`: a member that never crosses the wire is an
 // error even with a version bump.
 struct SkipRec {
   unsigned p = 0;
@@ -44,44 +44,21 @@ struct SkipRec {
   unsigned r = 0;  // expect: D8
 };
 
-// Writer emits m then n; the reader restores n then m. Same fields, wrong
-// order - the bytes land in the wrong slots.
-struct SwapRec {
+template <class A>
+void fields(A& ar, SkipRec& s) {
+  ar(s.p, s.q);
+}
+
+// Listed n before m: the wire order no longer follows the declaration order
+// the lock digests, so reordering the list would go unnoticed by the lock.
+struct OrderRec {
   unsigned m = 0;
   unsigned n = 0;
 };
 
-BGPCMP_SNAPSHOT_CODEC(fix, writer)
-inline void write_fix(const GoodRec& g, const DriftRec& d, const SkipRec& s,
-                      const SwapRec& sw, SnapshotWriter& w) {
-  w.u32(g.a);
-  w.f64(g.b);
-  w.u32(d.x);
-  w.f64(d.y);
-  w.u32(s.p);
-  w.u32(s.q);
-  w.u32(sw.m);
-  w.u32(sw.n);
-}
-
-BGPCMP_SNAPSHOT_CODEC(fix, reader)
-inline void read_fix(GoodRec& g, DriftRec& d, SkipRec& s, SwapRec& sw,
-                     SnapshotReader& r) {  // expect: D8
-  g.a = r.u32();
-  g.b = r.f64();
-  d.x = r.u32();
-  d.y = r.f64();
-  s.p = r.u32();
-  s.q = r.u32();
-  sw.n = r.u32();
-  sw.m = r.u32();
-}
-
-// A codec section with a writer but no reader: nothing checks the wire
-// sequence, which is itself an error.
-BGPCMP_SNAPSHOT_CODEC(orphan, writer)
-inline void write_orphan(const GoodRec& g, SnapshotWriter& w) {  // expect: D8
-  w.u32(g.a);
+template <class A>
+void fields(A& ar, OrderRec& o) {  // expect: D8
+  ar(o.n, o.m);
 }
 
 }  // namespace fixture_d8

@@ -48,30 +48,52 @@ void patch_u64(std::string& bytes, std::size_t off, std::uint64_t v) {
   }
 }
 
+void patch_u32(std::string& bytes, std::size_t off, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[off + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Re-seal the header after a payload edit so the size and hash checks pass:
+// a failure must then come from the section decode, not from the whole-file
+// integrity gates.
+void reseal(std::string& bytes) {
+  patch_u64(bytes, 32, bytes.size() - kSnapshotHeaderSize);
+  patch_u64(bytes, 40, snapshot_hash(bytes.substr(kSnapshotHeaderSize)));
+}
+
 TEST(WorldSnapshot, WriterReaderRoundTripScalars) {
   SnapshotWriter w;
-  w.u8(0xab);
-  w.u16(0x1234);
-  w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefULL);
-  w.f64(-1.5e300);
-  w.str("hello");
+  w(std::uint8_t{0xab}, std::uint16_t{0x1234}, std::uint32_t{0xdeadbeef},
+    std::uint64_t{0x0123456789abcdefULL}, -1.5e300, std::string{"hello"});
+  // Little-endian at each width; the string is a u32 length then its bytes.
+  EXPECT_EQ(w.bytes().size(), 1u + 2u + 4u + 8u + 8u + 4u + 5u);
+  EXPECT_EQ(w.bytes().substr(0, 3), std::string("\xab\x34\x12", 3));
   SnapshotReader r(w.bytes());
-  EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u16(), 0x1234);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.f64(), -1.5e300);
-  EXPECT_EQ(r.str(), "hello");
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  double f64 = 0.0;
+  std::string str;
+  r(u8, u16, u32, u64, f64, str);
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u16, 0x1234);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0123456789abcdefULL);
+  EXPECT_EQ(f64, -1.5e300);
+  EXPECT_EQ(str, "hello");
   EXPECT_TRUE(r.done());
 }
 
 TEST(WorldSnapshot, ReaderRejectsTruncatedPayload) {
   SnapshotWriter w;
-  w.u32(7);
+  w(std::uint32_t{7});
   SnapshotReader r(w.bytes());
   ScopedCheckThrows guard;
-  EXPECT_THROW((void)r.u64(), CheckError);
+  std::uint64_t wide = 0;
+  EXPECT_THROW(r(wide), CheckError);
 }
 
 TEST(WorldSnapshot, RoundTripPinsTheWorldFingerprint) {
@@ -98,9 +120,9 @@ TEST(WorldSnapshot, RoundTripPinsTheWorldFingerprint) {
 TEST(WorldSnapshot, SerializedBytesAreDeterministic) {
   const auto cfg = small_config();
   SnapshotWriter a;
-  serialize_internet(build_internet(cfg), a);
+  a(build_internet(cfg));
   SnapshotWriter b;
-  serialize_internet(build_internet(cfg), b);
+  b(build_internet(cfg));
   EXPECT_EQ(a.bytes(), b.bytes());
 }
 
@@ -170,12 +192,9 @@ TEST(WorldSnapshot, TruncatedSectionPayloadReportsTruncation) {
   const auto path = tmp_path("world_shortsection.snap");
   save_world_snapshot(path, build_internet(cfg), cfg);
   std::string bytes = file_bytes(path);
-  // Chop the tail of the last section, then re-seal the header so the size
-  // and hash checks pass: the failure must come from the section decode
-  // running off the end, not from the whole-file integrity gates.
+  // Chop the tail of the last section: the decode runs off the end.
   bytes.resize(bytes.size() - 16);
-  patch_u64(bytes, 32, bytes.size() - kSnapshotHeaderSize);
-  patch_u64(bytes, 40, snapshot_hash(bytes.substr(kSnapshotHeaderSize)));
+  reseal(bytes);
   write_bytes(path, bytes);
   ScopedCheckThrows guard;
   try {
@@ -220,6 +239,38 @@ TEST(WorldSnapshot, FutureVersionReportsVersionMismatch) {
                          "snapshot version mismatch; rebuild the snapshot"))
         << e.what();
   }
+}
+
+// A hostile file with a valid header hash and a count its payload cannot
+// hold must fail that count's bound check before anything is sized from it;
+// reserving 0xFFFFFFFF elements would throw std::bad_alloc instead.
+void expect_count_rejected(const char* name, std::size_t payload_offset) {
+  const auto cfg = small_config();
+  const auto path = tmp_path(name);
+  save_world_snapshot(path, build_internet(cfg), cfg);
+  std::string bytes = file_bytes(path);
+  patch_u32(bytes, kSnapshotHeaderSize + payload_offset, 0xffffffffU);
+  reseal(bytes);
+  write_bytes(path, bytes);
+  ScopedCheckThrows guard;
+  try {
+    (void)load_world_snapshot(path, cfg);
+    FAIL() << "count at payload offset " << payload_offset << " was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_TRUE(contains(e.what(), "count runs past the payload")) << e.what();
+  }
+}
+
+TEST(WorldSnapshot, HugeAsCountReportsCountPastPayload) {
+  expect_count_rejected("world_huge_as_count.snap", 0);
+}
+
+TEST(WorldSnapshot, HugePresenceCountReportsCountPastPayload) {
+  // World section: as_count, edge_count, link_count, then node 0 as asn u32,
+  // class u8, name (u32 length + bytes), presence count u32.
+  const Internet net = build_internet(small_config());
+  const std::size_t name_length = net.graph.node(0).name.size();
+  expect_count_rejected("world_huge_presence_count.snap", 12 + 4 + 1 + 4 + name_length);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """detlint - the bgpcmp lint: determinism and concurrency contracts.
 
 One tool holds every repo lint rule (docs/TOOLING.md, "Static contracts").
-The token rules R1-R6 are single-line patterns; the D rules need type
+The token rules R1-R7 are single-line patterns; the D rules need type
 information, an include graph or a call graph. No rule is checked in two
 places with different semantics.
 
@@ -23,13 +23,14 @@ pattern never fires. tests/detlint_fixtures/ is outside every scope.
   R6  bare assert() or #include <cassert> in src: invariants go through
       BGPCMP_CHECK* so they print diagnostics and survive Release builds.
       static_assert does not match.
+  R7  raw std::unordered_{map,set} (multi too) in src outside
+      netbase/lookup.h. Hash containers are LookupMap/LookupSet, which have
+      no begin()/end(): iteration in unspecified order does not compile
+      (the lookup_iter_* ctests pin each shape).
 
 Semantic rules, over src tools bench.
-  D1  unordered-container iteration in model code. Covers range-for,
-      iterator-based loops (for (auto it = m.begin(); ...)), and .begin()
-      escapes into algorithms - the cases the old grep rule R5 missed.
-      Iteration order is unspecified and must never shape emitted tables or
-      RNG draw order.
+  D1  retired: hash containers are LookupMap/LookupSet (R7), so the
+      compiler rejects the iteration this pass looked for.
   D2  mutable class members in src/ that are none of: std::atomic, a mutex
       type, BGPCMP_GUARDED_BY-annotated, or BGPCMP_SINGLE_THREAD-marked
       (member- or class-level). Unsynchronized lazy state must either be
@@ -66,18 +67,18 @@ Semantic rules, over src tools bench.
       depends on thread interleaving. The sanctioned pattern is
       index-addressed slots written in the region and folded sequentially
       after the join (docs/PARALLELISM.md).
-  D8  serialization-schema drift. Functions marked
-      BGPCMP_SNAPSHOT_CODEC(section, writer|reader) form wire-codec pairs;
-      detlint parses the struct definition of every type the pair touches,
-      matches the writer's field-access sequence against the reader's
-      (order-sensitive), and requires every non-waived field of a serialized
-      struct to cross the wire in both directions. The full layout (field
-      names and declared types, in declaration order) is digested into
+  D8  serialization-schema drift. Each serialized struct has one field
+      list, `template <class A> void fields(A& a, T& t)`, that the snapshot
+      writer and reader both run through. D8 requires every list to name
+      each non-waived member of its struct exactly once, in declaration
+      order, so the wire order is the declaration order. The full layout
+      (field names and declared types, in declaration order) of every
+      struct with a field list is digested into
       tools/detlint/snapshot_schema.lock next to the kSnapshotVersion it was
-      taken at; any layout drift while the version stands still is an error,
-      and --update-schema-lock refuses to regenerate until the version is
-      bumped. Derived/reconstructed fields opt out with lint:allow(D8) on
-      their declaration line.
+      taken at; any layout drift while the version stands still is an
+      error, and --update-schema-lock refuses to regenerate until the
+      version is bumped. Derived/reconstructed fields opt out with
+      lint:allow(D8) on their declaration line.
   D9  RNG fork lineage. Inside a parallel region, a draw on an Rng declared
       outside the region (directly, or by passing it to a callee that draws
       through a non-const Rng& parameter) makes draw order depend on thread
@@ -99,18 +100,15 @@ Semantic rules, over src tools bench.
       inside the chunk body itself (the D5 domination machinery, with the
       whole body as the region).
 
-A line opts out with a trailing comment: // lint:allow(D1), comma-separated
+A line opts out with a trailing comment: // lint:allow(D2), comma-separated
 for several rules. D5/D7 findings anchor to the parallel-region line; D6
-findings anchor to the second acquisition; D8 field findings anchor to the
-field's declaration line.
+findings anchor to the second acquisition; a D8 missing-member finding
+anchors to the member's declaration line, an order finding to its fields().
 
-Engines: with the libclang Python bindings installed the variable-type
-registries for D1/D9 are augmented from a real AST; otherwise a tokenizer
-fallback tracks declarations textually (including through the repo include
-graph, so member types declared in headers are seen from their .cpp files).
---self-test always uses the tokenizer registries: the fixture corpus in
-tests/detlint_fixtures pins the fallback semantics that every environment
-has. The D5-D7 symbol table and call graph are always tokenizer-built.
+Every rule reads the source through one tokenizer: declarations are tracked
+textually, through the repo include graph, so names declared in headers are
+seen from their .cpp files. The fixture corpus in tests/detlint_fixtures
+pins those semantics (--self-test).
 
 --github prints findings as GitHub Actions workflow-command annotations.
 
@@ -131,13 +129,13 @@ RULES = OrderedDict(
         ("R3", "raw mt19937 outside the Rng wrapper; take an Rng instead"),
         ("R4", "wall-clock read in model code; use SimTime"),
         ("R6", "bare assert() or <cassert> in src/; use BGPCMP_CHECK* (bgpcmp/netbase/check.h)"),
-        ("D1", "iteration over an unordered container in model code"),
+        ("R7", "raw std::unordered_* container in src/; use LookupMap/LookupSet (bgpcmp/netbase/lookup.h)"),
         ("D2", "mutable member without atomic/lock/BGPCMP_SINGLE_THREAD contract"),
         ("D4", "wall-clock/raw-randomness header reaches model code"),
         ("D5", "serve-phase call without a dominating warm (phase contract)"),
         ("D6", "lock-order cycle or BGPCMP_ACQUIRES_ORDER inversion"),
         ("D7", "order-sensitive reduction inside a parallel region"),
-        ("D8", "serialized struct layout drifted from the snapshot schema lock"),
+        ("D8", "snapshot fields() list out of declaration order, or layout drifted from the schema lock"),
         ("D9", "Rng fork lineage: unforked draw in a parallel/chunk region or a degenerate fork label"),
         ("D10", "BGPCMP_PURE_CHUNK function reaches shared mutable state"),
     ]
@@ -157,6 +155,8 @@ TOKEN_RULES = (
                       r"|clock_gettime|localtime|gmtime"
                       r"|(?<!\w)time\s*\(\s*(?:NULL|nullptr|0)\s*\)"), _MODEL, ()),
     ("R6", re.compile(r"(?<!\w)assert\s*\(|#\s*include\s*<cassert>"), ("src/",), ()),
+    ("R7", re.compile(r"\bunordered_(?:multi)?(?:map|set)\b"), ("src/",),
+     ("src/netbase/include/bgpcmp/netbase/lookup.h",)),
 )
 
 BANNED_HEADERS = {"chrono", "ctime", "time.h", "sys/time.h", "random"}
@@ -164,7 +164,6 @@ BANNED_HEADERS = {"chrono", "ctime", "time.h", "sys/time.h", "random"}
 # The sanctioned home of <random>: the deterministic Rng wrapper itself.
 D4_SANCTIONED = ("netbase/rng.h", "netbase/rng.cpp")
 
-UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 ALLOW_RE = re.compile(r"lint:allow\(([A-Za-z0-9_, ]+)\)")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([A-Za-z0-9, ]+)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?:"([^"]+)"|<([^>]+)>)')
@@ -174,7 +173,6 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?:"([^"]+)"|<([^>]+)>)')
 PHASE_RE = re.compile(r"\bBGPCMP_PHASE\s*\(\s*(\w+)\s*\)")
 REQWARM_RE = re.compile(r"\bBGPCMP_REQUIRES_WARMED\s*\(\s*([\w:,\s]*?)\s*\)")
 PURE_CHUNK_RE = re.compile(r"\bBGPCMP_PURE_CHUNK\b")
-CODEC_RE = re.compile(r"\bBGPCMP_SNAPSHOT_CODEC\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 ORDER_RE = re.compile(r"\bBGPCMP_ACQUIRES_ORDER\s*\(\s*(\d+)\s*\)")
 MUTEX_DECL_RE = re.compile(r"\bMutex\b\s+([A-Za-z_]\w*)")
 MACRO_INV_RE = re.compile(r"\b[A-Z][A-Z0-9_]{2,}\s*\([^()]*\)")
@@ -210,13 +208,6 @@ FORK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*fork\s*\(")
 RNG_ROOT_RE = re.compile(r"\bRng\s+([A-Za-z_]\w*)\s*[{(]")
 RNG_REF_PARAM_RE = re.compile(r"(const\s+)?(?:[A-Za-z_]\w*\s*::\s*)*Rng\s*&\s*([A-Za-z_]\w*)")
 LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(")
-# Dotted field-access chains (a.b, a->b.c ...) for the D8 codec model.
-PATH_RE = re.compile(r"\b([A-Za-z_]\w*)((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)")
-INDEXED_PATH_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*\[[^\[\]]*\]((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)"
-)
-SNAP_PRIM_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(u8|u16|u32|u64|f64|str)\s*\(")
-READER_MUTATOR_CALLS = frozenset({"push_back", "emplace_back"})
 VERSION_CONST_RE = re.compile(r"\bkSnapshotVersion\s*=\s*(\d+)")
 STRUCT_HEAD_RE = re.compile(
     r"\b(?:struct|class)\s+(?:[A-Z][A-Z0-9_]{2,}\s+)*([A-Za-z_]\w*)"
@@ -401,11 +392,11 @@ class Func:
 
     __slots__ = (
         "sf", "cls", "bare", "line", "phase", "requires", "body_span",
-        "pure_chunk", "codec", "param_types", "rng_ref_params",
+        "pure_chunk", "param_types", "rng_ref_params",
     )
 
     def __init__(self, sf, cls, bare, line, phase, requires, body_span,
-                 pure_chunk=False, codec=None, param_types=None,
+                 pure_chunk=False, param_types=None,
                  rng_ref_params=()):
         self.sf = sf
         self.cls = cls
@@ -415,7 +406,6 @@ class Func:
         self.requires = requires
         self.body_span = body_span  # (start, end) offsets in pp_clean, or None
         self.pure_chunk = pure_chunk  # BGPCMP_PURE_CHUNK (D9/D10)
-        self.codec = codec  # (section, role) from BGPCMP_SNAPSHOT_CODEC (D8)
         self.param_types = param_types or {}  # name -> declared type text
         self.rng_ref_params = rng_ref_params  # non-const Rng& parameter names
 
@@ -447,15 +437,6 @@ class StructDef:
         self.name = name
         self.line = line
         self.fields = fields  # [(name, normalized type, line, waived)]
-
-    def field_type(self, name):
-        for fname, ftype, _, _ in self.fields:
-            if fname == name:
-                return ftype
-        return None
-
-    def waived(self, name):
-        return any(f[0] == name and f[3] for f in self.fields)
 
     def canonical(self):
         parts = [
@@ -655,7 +636,7 @@ class SourceFile:
         self.clean, self.allow = clean_source(self.text)
         self.clean_lines = self.clean.splitlines()
         self.includes = self._scan_includes()
-        self._registry = None
+        self._rng_names = None
         self._pp_clean = None
         self._structure = None
         self._class_vars = None
@@ -705,45 +686,11 @@ class SourceFile:
         self._pp_clean = "".join(out)
         return self._pp_clean
 
-    def registry(self):
-        """Tokenizer-derived name registries: (unordered vars, Rng vars)."""
-        if self._registry is not None:
-            return self._registry
-        unordered, rngs = set(), set()
-        aliases = set()
-        text = self.clean
-        for m in UNORDERED_RE.finditer(text):
-            i = m.end()
-            # Skip the template argument list, if any, with balanced <>.
-            while i < len(text) and text[i] in " \t\n":
-                i += 1
-            if i < len(text) and text[i] == "<":
-                depth = 0
-                while i < len(text):
-                    if text[i] == "<":
-                        depth += 1
-                    elif text[i] == ">":
-                        depth -= 1
-                        if depth == 0:
-                            i += 1
-                            break
-                    i += 1
-            # `using Alias = std::unordered_map<...>;`
-            before = text[: m.start()]
-            am = re.search(r"\busing\s+(\w+)\s*=\s*(?:std::)?$", before[-64:])
-            if am:
-                aliases.add(am.group(1))
-                continue
-            dm = re.match(r"\s*[&*]{0,2}\s*(\w+)\s*([;,=({\[)]|$)", text[i : i + 160])
-            if dm and dm.group(2) != "(":  # identifier( is a function name
-                unordered.add(dm.group(1))
-        for alias in aliases:
-            for dm in re.finditer(r"\b" + re.escape(alias) + r"\b\s*[&*]{0,2}\s*(\w+)\s*[;,=({\[)]", text):
-                unordered.add(dm.group(1))
-        for dm in re.finditer(r"\bRng\s+(\w+)\s*[^(\w]", text):
-            rngs.add(dm.group(1))
-        self._registry = (unordered, rngs)
-        return self._registry
+    def rng_names(self):
+        """Names this file declares with type Rng (the D9 registry)."""
+        if self._rng_names is None:
+            self._rng_names = {m.group(1) for m in re.finditer(r"\bRng\s+(\w+)\s*[^(\w]", self.clean)}
+        return self._rng_names
 
     # -- structural parse (D5-D7) ------------------------------------------
 
@@ -817,16 +764,14 @@ class SourceFile:
                 if part:
                     requires.append(part)
         pure = bool(PURE_CHUNK_RE.search(s))
-        cm = CODEC_RE.search(s)
-        codec = (cm.group(1), cm.group(2)) if cm else None
-        return phase, tuple(requires), pure, codec
+        return phase, tuple(requires), pure
 
     @staticmethod
     def _parse_params(head):
         """(param_types, rng_ref_params) from a declaration head's parameter
         list. param_types maps parameter name -> declared type text."""
         s = _strip_template_header(head)
-        # Annotation macros (BGPCMP_SNAPSHOT_CODEC(...) etc.) carry their own
+        # Annotation macros (BGPCMP_REQUIRES_WARMED(...) etc.) carry their own
         # parens; strip them or the macro's argument list reads as the
         # parameter list.
         s2 = ATTR_RE.sub(" ", MACRO_INV_RE.sub(" ", s))
@@ -858,11 +803,11 @@ class SourceFile:
         parts = qual.split("::")
         bare = parts[-1]
         cls = parts[-2] if len(parts) > 1 else self._enclosing_class(stack)
-        phase, requires, pure, codec = self._annotations(pre)
+        phase, requires, pure = self._annotations(pre)
         param_types, rng_refs = self._parse_params(pre)
         line = self.line_of_offset(brace_off)
         return Func(self, cls, bare, line, phase, requires, (brace_off + 1, None),
-                    pure_chunk=pure, codec=codec, param_types=param_types,
+                    pure_chunk=pure, param_types=param_types,
                     rng_ref_params=rng_refs)
 
     def _decl_segment(self, seg, seg_off, stack, funcs, mutexes, globals_out):
@@ -888,10 +833,10 @@ class SourceFile:
         parts = qual.split("::")
         if len(parts) > 1:
             cls = parts[-2]
-        phase, requires, pure, codec = self._annotations(s)
+        phase, requires, pure = self._annotations(s)
         param_types, rng_refs = self._parse_params(s)
         funcs.append(Func(self, cls, parts[-1], line, phase, requires, None,
-                          pure_chunk=pure, codec=codec, param_types=param_types,
+                          pure_chunk=pure, param_types=param_types,
                           rng_ref_params=rng_refs))
 
     def _global_var(self, s, line, globals_out):
@@ -929,42 +874,13 @@ class SourceFile:
         return out
 
 
-def try_libclang_registry(sf, include_dirs):
-    """AST-grade registry via libclang; None when unavailable or on error."""
-    try:
-        import clang.cindex as ci
-
-        index = ci.Index.create()
-        args = ["-std=c++20", "-xc++"] + [f"-I{d}" for d in include_dirs]
-        tu = index.parse(sf.abspath, args=args)
-        decl_kinds = (
-            ci.CursorKind.VAR_DECL,
-            ci.CursorKind.FIELD_DECL,
-            ci.CursorKind.PARM_DECL,
-        )
-        unordered, rngs = set(), set()
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in decl_kinds or not cur.spelling:
-                continue
-            t = cur.type.get_canonical().spelling
-            if UNORDERED_RE.search(t) and "*" not in t:
-                unordered.add(cur.spelling)
-            elif re.search(r"\bRng\b", t) and "&" not in t and "*" not in t:
-                rngs.add(cur.spelling)
-        return unordered, rngs
-    except Exception:  # missing bindings, missing libclang.so, parse error
-        return None
-
-
 class Analyzer:
-    def __init__(self, root, include_dirs, use_libclang):
+    def __init__(self, root, include_dirs):
         self.root = root
         self.include_dirs = include_dirs
-        self.use_libclang = use_libclang
         self.files = {}
         self.findings = []
         self.token_files = []
-        self.libclang_active = False
         self._closure_memo = {}
         self._ctx_vars_memo = {}
         self._func_calls_memo = {}
@@ -981,7 +897,6 @@ class Analyzer:
         self._known_classes = frozenset()
         self._struct_index = None
         self._rng_draws_memo = {}
-        self._schema_model_memo = None
 
     def load(self, relpath):
         if relpath not in self.files:
@@ -1025,28 +940,14 @@ class Analyzer:
                     if pattern.search(line):
                         self.report(sf, i, rule, RULES[rule])
 
-    # -- registries ---------------------------------------------------------
-
-    def context_registry(self, sf):
-        """Name registries for a TU: its own declarations plus those of every
-        transitively included repo header (so member types declared in
-        headers are visible from their implementation files)."""
-        unordered, rngs = set(), set()
+    def context_rngs(self, sf):
+        """Rng variable names visible in a TU: its own declarations plus those
+        of every transitively included repo header (so member types declared
+        in headers are visible from their implementation files)."""
+        rngs = set()
         for rel in self.include_closure(sf):
-            member = self.load(rel)
-            reg = None
-            if self.use_libclang:
-                reg = try_libclang_registry(member, [os.path.join(self.root, d) for d in self.include_dirs_rel()])
-                if reg is not None:
-                    self.libclang_active = True
-            if reg is None:
-                reg = member.registry()
-            unordered |= reg[0]
-            rngs |= reg[1]
-        return unordered, rngs
-
-    def include_dirs_rel(self):
-        return [os.path.relpath(d, self.root) for d in self.include_dirs]
+            rngs |= self.load(rel).rng_names()
+        return rngs
 
     def include_closure(self, sf):
         """The file itself plus every repo file reachable through includes."""
@@ -1084,13 +985,11 @@ class Analyzer:
             phase = next((f.phase for f in group if f.phase), None)
             requires = tuple(sorted({r for f in group for r in f.requires}))
             pure = any(f.pure_chunk for f in group)
-            codec = next((f.codec for f in group if f.codec), None)
             rng_refs = tuple(sorted({p for f in group for p in f.rng_ref_params}))
             for f in group:
                 f.phase = phase
                 f.requires = requires
                 f.pure_chunk = pure
-                f.codec = codec
                 f.rng_ref_params = rng_refs
         self.symbols = {}
         for f in all_funcs:
@@ -1208,56 +1107,6 @@ class Analyzer:
                         spans.append((open_brace, idx))
                         break
         return spans
-
-    # -- D1: unordered iteration -------------------------------------------
-
-    def check_d1(self, sf):
-        unordered, _ = self.context_registry(sf)
-        if not unordered:
-            return
-        text = sf.clean
-        # Range-for whose range expression ends in an unordered variable.
-        for m in re.finditer(r"\bfor\s*\(", text):
-            depth, i = 0, m.end() - 1
-            while i < len(text):
-                if text[i] == "(":
-                    depth += 1
-                elif text[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            header = text[m.end() : i]
-            if ";" in header or ":" not in header:
-                continue
-            expr = header.rsplit(":", 1)[1].strip()
-            em = re.search(r"(\w+)\s*$", expr)
-            if em and em.group(1) in unordered:
-                self.report(
-                    sf,
-                    sf.line_of_offset(m.start()),
-                    "D1",
-                    f"range-for over unordered container '{em.group(1)}'",
-                )
-        # Iterator loops and .begin() escapes into algorithms. Only begin()
-        # matters: a bare `it != m.end()` sentinel comparison after find()
-        # never observes iteration order and stays legal.
-        for m in re.finditer(r"\b(\w+)\s*\.\s*(c?begin)\s*\(", text):
-            if m.group(1) in unordered:
-                self.report(
-                    sf,
-                    sf.line_of_offset(m.start()),
-                    "D1",
-                    f"'{m.group(1)}.{m.group(2)}()' exposes unordered iteration order",
-                )
-        for m in re.finditer(r"\bstd\s*::\s*c?begin\s*\(\s*(\w+)", text):
-            if m.group(1) in unordered:
-                self.report(
-                    sf,
-                    sf.line_of_offset(m.start()),
-                    "D1",
-                    f"'std::begin({m.group(1)})' exposes unordered iteration order",
-                )
 
     # -- D2: unguarded mutable ---------------------------------------------
 
@@ -1769,8 +1618,6 @@ class Analyzer:
         r"\bfor\s*\(\s*(?:const\s+)?([A-Za-z_][\w:]*(?:<[^<>;]*>)?)"
         r"\s*[&*]?\s*([A-Za-z_]\w*)\s*:"
     )
-    VECTOR_ELEM_RE = re.compile(r"\bvector\s*<\s*(?:const\s+)?([\w:]+)\s*>")
-    AGGREGATE_RE = re.compile(r"(?<![\w.])((?:[A-Za-z_]\w*\s*::\s*)*)([A-Za-z_]\w*)\s*\{")
 
     def struct_index(self):
         """Struct/class name -> StructDef over every loaded file."""
@@ -1858,14 +1705,6 @@ class Analyzer:
             return
         fields.append((name, ftype, line, sf.allows(line, "D8")))
 
-    def _codec_groups(self):
-        """section -> {role -> Func definition} for BGPCMP_SNAPSHOT_CODEC."""
-        groups = {}
-        for fn in self.defs:
-            if fn.codec:
-                groups.setdefault(fn.codec[0], {}).setdefault(fn.codec[1], fn)
-        return groups
-
     def _var_types(self, fn):
         """(body text, var -> declared type) over fn's parameters, range-for
         variables and local declarations."""
@@ -1882,153 +1721,18 @@ class Analyzer:
             var_types.setdefault(n, t)
         return body, var_types
 
-    def _codec_vars(self, fn):
-        """(body text, var -> declared type, var -> vector element type)."""
-        body, var_types = self._var_types(fn)
-        elem_types = {}
-        for n, t in var_types.items():
-            vm = self.VECTOR_ELEM_RE.search(t)
-            if vm:
-                elem_types[n] = bare_type(vm.group(1))
-        return body, var_types, elem_types
-
-    def _resolve_path(self, start_type, comps, index):
-        """Resolve a dotted chain against the struct index. Returns the
-        deepest (type, field) event, every (type, field) hop covered, and the
-        first unresolved trailing component (a method name, usually)."""
-        cur = bare_type(start_type)
-        event, covered, tail = None, [], None
-        for k, comp in enumerate(comps):
-            sd = index.get(cur)
-            if sd is None or sd.field_type(comp) is None:
-                tail = comp
-                break
-            covered.append((cur, comp))
-            event = (cur, comp)
-            nxt = bare_type(sd.field_type(comp))
-            if k + 1 < len(comps):
-                if nxt in index:
-                    cur = nxt
-                else:
-                    tail = comps[k + 1]
-                    break
-        return event, covered, tail
-
-    def _codec_paths(self, body, var_types, elem_types, index):
-        """[(off, end, event, covered, tail)] for every resolvable chain."""
-        occs = []
-        for m in PATH_RE.finditer(body):
-            prev = _prev_nonspace(body, m.start())
-            if prev and prev in ".]>":
-                continue
-            t = var_types.get(m.group(1))
-            if t is None:
-                continue
-            comps = re.findall(r"[A-Za-z_]\w*", m.group(2))
-            event, covered, tail = self._resolve_path(t, comps, index)
-            if event or covered:
-                occs.append((m.start(), m.end(), event, covered, tail))
-        for m in INDEXED_PATH_RE.finditer(body):
-            t = elem_types.get(m.group(1))
-            if t is None:
-                continue
-            comps = re.findall(r"[A-Za-z_]\w*", m.group(2))
-            event, covered, tail = self._resolve_path(t, comps, index)
-            if event or covered:
-                occs.append((m.start(), m.end(), event, covered, tail))
-        occs.sort(key=lambda o: o[0])
-        return occs
-
-    def _writer_prim_spans(self, body, var_types):
-        """Argument spans of SnapshotWriter primitive calls (u8..str)."""
-        spans = []
-        for m in SNAP_PRIM_RE.finditer(body):
-            if bare_type(var_types.get(m.group(1), "")) != "SnapshotWriter":
-                continue
-            close = _match_paren(body, m.end() - 1)
-            if close is not None:
-                spans.append((m.end(), close))
-        return spans
-
-    def _codec_side(self, fn, role, index, writer_types=None):
-        """(ordered [(off, (type, field))] wire events, covered set) for one
-        codec body. Writers emit events from field paths inside serializer
-        primitive arguments; readers from field-path assignments, container
-        mutator calls, and positional aggregate-initialization of a type the
-        paired writer serializes."""
-        body, var_types, elem_types = self._codec_vars(fn)
-        occs = self._codec_paths(body, var_types, elem_types, index)
-        coverage = set()
-        for _, _, _, covered, _ in occs:
-            coverage.update(covered)
-        events = []
-        if role == "writer":
-            spans = self._writer_prim_spans(body, var_types)
-            for off, _, event, _, _ in occs:
-                if event and any(s <= off < e for s, e in spans):
-                    events.append((off, event))
-        else:
-            for off, end, event, _, tail in occs:
-                if not event:
-                    continue
-                if tail in READER_MUTATOR_CALLS or re.match(r"\s*=(?!=)", body[end : end + 8]):
-                    events.append((off, event))
-            for m in self.AGGREGATE_RE.finditer(body):
-                t = m.group(2)
-                if writer_types is None or t not in writer_types or t not in index:
-                    continue
-                open_brace = m.end() - 1
-                close = _match_brace(body, open_brace)
-                if close is None:
-                    continue
-                args = split_top_commas(body[open_brace + 1 : close])
-                sd = index[t]
-                for k, arg in enumerate(args):
-                    if k >= len(sd.fields):
-                        break
-                    fname = sd.fields[k][0]
-                    coverage.add((t, fname))
-                    if arg.strip() and arg.strip() != "{}":
-                        events.append((open_brace + 1 + k, (t, fname)))
-            events.sort(key=lambda e: e[0])
-        return events, coverage
-
-    @staticmethod
-    def _type_seq(events, t, sd):
-        """The wire sequence for one type: waived fields dropped, consecutive
-        repeats collapsed (a size write plus element writes is one touch)."""
-        seq = []
-        for _, (tt, f) in events:
-            if tt != t or sd.waived(f):
-                continue
-            if not seq or seq[-1] != f:
-                seq.append(f)
-        return seq
-
-    def schema_model(self):
-        """Per-section codec analysis, memoized for check_d8 and the lock
-        updater."""
-        if self._schema_model_memo is not None:
-            return self._schema_model_memo
+    def field_lists(self):
+        """struct name -> the `fields(A& a, T& t)` definition that is T's
+        one wire field list, shared by the snapshot writer and reader."""
         index = self.struct_index()
-        model = []
-        for section, roles in sorted(self._codec_groups().items()):
-            writer, reader = roles.get("writer"), roles.get("reader")
-            entry = {"section": section, "writer": writer, "reader": reader}
-            if writer and reader:
-                w_events, w_cov = self._codec_side(writer, "writer", index)
-                writer_types = {t for _, (t, _) in w_events}
-                r_events, r_cov = self._codec_side(reader, "reader", index, writer_types)
-                entry.update(
-                    w_events=w_events,
-                    r_events=r_events,
-                    w_cov=w_cov,
-                    r_cov=r_cov,
-                    serialized=sorted(writer_types & {t for _, (t, _) in r_events}),
-                )
-            model.append(entry)
-        self._schema_model_memo = model
-        return model
+        out = {}
+        for fn in self.defs:
+            if fn.bare != "fields" or fn.body_span is None or len(fn.param_types) != 2:
+                continue
+            t = bare_type(list(fn.param_types.values())[1])
+            if t in index:
+                out.setdefault(t, fn)
+        return out
 
     def snapshot_version(self):
         """The kSnapshotVersion constant, scanned from the loaded tree."""
@@ -2039,71 +1743,48 @@ class Analyzer:
         return None
 
     def schema_digests(self):
-        """{type: (digest, canonical)} for every serialized type."""
+        """{type: (digest, canonical)} for every type with a field list."""
         index = self.struct_index()
         out = {}
-        for entry in self.schema_model():
-            for t in entry.get("serialized", ()):
-                canon = index[t].canonical()
-                out[t] = (fnv1a64(canon), canon)
+        for t in self.field_lists():
+            canon = index[t].canonical()
+            out[t] = (fnv1a64(canon), canon)
         return out
 
     def check_d8(self, lock_path):
-        model = self.schema_model()
-        if not model:
+        lists = self.field_lists()
+        if not lists:
             return
         index = self.struct_index()
-        anchor = None
-        for entry in model:
-            writer, reader = entry["writer"], entry["reader"]
-            if "serialized" not in entry:
-                present = writer or reader
-                missing = "reader" if writer else "writer"
-                self.report(
-                    present.sf,
-                    present.line,
-                    "D8",
-                    f"snapshot codec section '{entry['section']}' has no {missing} "
-                    "definition to check the wire sequence against",
-                )
-                continue
-            anchor = anchor or writer
-            for t in entry["serialized"]:
-                sd = index[t]
-                wseq = self._type_seq(entry["w_events"], t, sd)
-                rseq = self._type_seq(entry["r_events"], t, sd)
-                if wseq != rseq:
+        for t, fn in sorted(lists.items()):
+            sd = index[t]
+            var = list(fn.param_types)[1]
+            a, b = fn.body_span
+            named = re.findall(
+                r"\b" + re.escape(var) + r"\s*(?:\.|->)\s*([A-Za-z_]\w*)", fn.sf.pp_clean[a:b]
+            )
+            members = [f[0] for f in sd.fields if not f[3]]
+            for fname, _, fline, waived in sd.fields:
+                if not waived and fname not in named:
                     self.report(
-                        reader.sf,
-                        reader.line,
+                        sd.sf,
+                        fline,
                         "D8",
-                        f"wire sequence for '{t}' differs between {writer.display} "
-                        f"[{', '.join(wseq)}] and {reader.display} [{', '.join(rseq)}]; "
-                        "writer and reader must touch the same fields in the same order",
+                        f"field '{t}::{fname}' of a serialized struct is missing from "
+                        "its fields() list; list it or waive the derived field with "
+                        "lint:allow(D8)",
                     )
-                for fname, _, fline, waived in sd.fields:
-                    if waived:
-                        continue
-                    if (t, fname) not in entry["w_cov"]:
-                        self.report(
-                            sd.sf,
-                            fline,
-                            "D8",
-                            f"field '{t}::{fname}' of a serialized struct is never "
-                            f"written by {writer.display}; serialize it or waive the "
-                            "derived field with lint:allow(D8)",
-                        )
-                    elif (t, fname) not in entry["r_cov"]:
-                        self.report(
-                            sd.sf,
-                            fline,
-                            "D8",
-                            f"field '{t}::{fname}' of a serialized struct is never "
-                            f"restored by {reader.display}; restore it or waive the "
-                            "derived field with lint:allow(D8)",
-                        )
-        if anchor is None:
-            return
+            # Equality also rejects a member named twice and a waived one.
+            if named != [m for m in members if m in named]:
+                self.report(
+                    fn.sf,
+                    fn.line,
+                    "D8",
+                    f"fields() of '{t}' lists [{', '.join(named)}], not each member "
+                    f"once in declaration order [{', '.join(members)}]; the wire "
+                    "order is declaration order, which is what the schema lock pins",
+                )
+        anchor = min(lists.values(), key=lambda fn: (fn.sf.rel, fn.line))
         digests = self.schema_digests()
         version = self.snapshot_version()
         lock_disp = os.path.relpath(lock_path, self.root) if lock_path else "<none>"
@@ -2172,7 +1853,7 @@ class Analyzer:
         kSnapshotVersion was bumped (or the lock is being bootstrapped)."""
         digests = self.schema_digests()
         if not digests:
-            print("detlint: no BGPCMP_SNAPSHOT_CODEC pairs found; nothing to lock", file=sys.stderr)
+            print("detlint: no fields() lists found; nothing to lock", file=sys.stderr)
             return 2
         version = self.snapshot_version()
         if version is None:
@@ -2336,7 +2017,7 @@ class Analyzer:
 
     def check_d9(self, sf):
         funcs, _, _, _ = sf.structure()
-        _, rngs = self.context_registry(sf)
+        rngs = self.context_rngs(sf)
         text = sf.pp_clean
         for fn in funcs:
             if not fn.body_span:
@@ -2588,11 +2269,10 @@ def default_schema_lock_path(root):
     return os.path.join(root, "tools", "detlint", "snapshot_schema.lock")
 
 
-def run_scan(root, paths, include_dirs, use_libclang, lint_paths=(), lock_path=None,
-             checks=True):
+def run_scan(root, paths, include_dirs, lint_paths=(), lock_path=None, checks=True):
     """D rules over the files under paths; token rules over those under
     lint_paths, each limited to its own scope."""
-    az = Analyzer(root, include_dirs, use_libclang)
+    az = Analyzer(root, include_dirs)
     files = gather_files(root, paths)
     for rel in files:
         az.load(rel)
@@ -2607,8 +2287,6 @@ def run_scan(root, paths, include_dirs, use_libclang, lint_paths=(), lock_path=N
         sf = az.files[rel]
         norm = rel.replace("\\", "/")
         model = norm.startswith(("src/", "tools/", "bench/"))
-        if model:
-            az.check_d1(sf)
         if norm.startswith("src/"):
             az.check_d2(sf)
         if model and norm.endswith(".cpp"):
@@ -2631,7 +2309,7 @@ def run_self_test(fixture_dir):
     the // expect: markers. The corpus both proves each rule fires and that
     lint:allow opt-outs are honored (allowed lines carry no marker)."""
     root = os.path.abspath(fixture_dir)
-    az = Analyzer(root, default_include_dirs(root), use_libclang=False)
+    az = Analyzer(root, default_include_dirs(root))
     expected = []
     rels = gather_files(root, ["."])
     for rel in rels:
@@ -2645,7 +2323,6 @@ def run_self_test(fixture_dir):
     az.build_symbols()
     for rel in rels:
         sf = az.files[rel]
-        az.check_d1(sf)
         az.check_d2(sf)
         if rel.endswith(".cpp"):
             az.check_d4(sf)
@@ -2675,7 +2352,7 @@ def run_self_test(fixture_dir):
     return 0
 
 
-def emit_findings(az, github, paths, lint_paths, engine_note):
+def emit_findings(az, github, paths, lint_paths):
     findings = sorted(az.findings, key=Finding.key)
     if github:
         # GitHub Actions workflow commands: surfaced as PR annotations.
@@ -2684,7 +2361,7 @@ def emit_findings(az, github, paths, lint_paths, engine_note):
             print(f"::error file={f.path},line={f.line},title=detlint {f.rule}::{msg}")
         print(f"detlint: {len(findings)} finding(s)" if findings else "detlint: clean")
     else:
-        print(f"detlint: engine={engine_note}; scanned {len(az.files)} files under {' '.join(paths)}; "
+        print(f"detlint: scanned {len(az.files)} files under {' '.join(paths)}; "
               f"token rules {len(az.token_files)} files under {' '.join(lint_paths)}")
         for f in findings:
             print(f)
@@ -2705,7 +2382,6 @@ def main(argv):
     )
     ap.add_argument("--root", default=None, help="repo root (default: two levels above this script)")
     ap.add_argument("--compile-commands", default=None, help="compile_commands.json for include resolution")
-    ap.add_argument("--engine", choices=["auto", "tokenizer", "libclang"], default="auto")
     ap.add_argument("--self-test", metavar="DIR", default=None, help="verify the fixture corpus and exit")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument(
@@ -2747,24 +2423,13 @@ def main(argv):
             if d not in include_dirs:
                 include_dirs.append(d)
 
-    use_libclang = args.engine in ("auto", "libclang")
-    if args.engine == "libclang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("detlint: --engine libclang requested but the clang Python bindings are missing", file=sys.stderr)
-            return 2
-
     lock_path = args.schema_lock or default_schema_lock_path(root)
     if args.update_schema_lock:
-        az = run_scan(root, paths, include_dirs, use_libclang, checks=False)
+        az = run_scan(root, paths, include_dirs, checks=False)
         return az.update_schema_lock(lock_path)
 
-    az = run_scan(root, paths, include_dirs, use_libclang, lint_paths, lock_path)
-    engine = "libclang" if az.libclang_active else "tokenizer"
-    if not az.libclang_active and not args.github:
-        engine += " (libclang unavailable; declaration tracking is textual)"
-    return emit_findings(az, args.github, paths, lint_paths, engine)
+    az = run_scan(root, paths, include_dirs, lint_paths, lock_path)
+    return emit_findings(az, args.github, paths, lint_paths)
 
 
 if __name__ == "__main__":

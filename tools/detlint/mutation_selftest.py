@@ -2,10 +2,17 @@
 """Mutation self-test for detlint rule D8 (serialization-schema drift).
 
 Copies the source tree into a scratch root, confirms the copy scans clean,
-then deletes ONE field write from serialize_internet — the classic drift:
-someone drops a field from the writer without bumping kSnapshotVersion or
-updating the reader. If D8 does not fire on that mutant, the rule is dead
-and the schema lock is theater.
+then edits AsNode's field list (the one list the snapshot writer and reader
+share) in two ways, each on a fresh copy:
+
+  drop  - delete one entry: the member no longer crosses the wire, which D8
+          reports as a serialized member missing from fields();
+  swap  - exchange two adjacent entries: the wire order no longer follows
+          declaration order, so the locked layout digest would no longer pin
+          it; D8's declaration-order check reports that.
+
+If D8 stays silent on either mutant, the rule is dead and the schema lock is
+theater.
 
 Run from anywhere; locates the repo relative to this file. Exits 0 on pass.
 """
@@ -19,7 +26,14 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 DETLINT = os.path.join(HERE, "detlint.py")
-MUTATED_LINE = "w.f64(n.backbone_inflation);"
+VICTIM = os.path.join("src", "topology", "include", "bgpcmp", "topology", "as_graph.h")
+# AsNode's field list, and the two mutants made from it.
+FIELD_LIST = "a(n.asn, n.cls, n.name, n.presence, n.hub, n.backbone_inflation);"
+MUTANTS = (
+    ("drop", "a(n.asn, n.cls, n.name, n.presence, n.hub);", "missing from its fields() list"),
+    ("swap", "a(n.asn, n.cls, n.name, n.presence, n.backbone_inflation, n.hub);",
+     "once in declaration order"),
+)
 
 
 def fail(msg):
@@ -36,37 +50,40 @@ def run_detlint(root):
     return proc.returncode, proc.stdout + proc.stderr
 
 
+def copy_tree(tmp):
+    shutil.copytree(os.path.join(REPO, "src"), os.path.join(tmp, "src"))
+    os.makedirs(os.path.join(tmp, "tools", "detlint"))
+    shutil.copy(
+        os.path.join(HERE, "snapshot_schema.lock"),
+        os.path.join(tmp, "tools", "detlint", "snapshot_schema.lock"),
+    )
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="detlint_mut_")
     try:
-        shutil.copytree(os.path.join(REPO, "src"), os.path.join(tmp, "src"))
-        os.makedirs(os.path.join(tmp, "tools", "detlint"))
-        shutil.copy(
-            os.path.join(HERE, "snapshot_schema.lock"),
-            os.path.join(tmp, "tools", "detlint", "snapshot_schema.lock"),
-        )
-
+        copy_tree(tmp)
         rc, out = run_detlint(tmp)
         if rc != 0:
             return fail(f"pristine copy is not clean (exit {rc}):\n{out}")
 
-        victim = os.path.join(tmp, "src", "topology", "world_snapshot.cpp")
+        victim = os.path.join(tmp, VICTIM)
         with open(victim, encoding="utf-8") as f:
-            lines = f.readlines()
-        kept = [ln for ln in lines if ln.strip() != MUTATED_LINE]
-        if len(kept) != len(lines) - 1:
-            return fail(f"expected exactly one '{MUTATED_LINE}' in {victim}, "
-                        f"removed {len(lines) - len(kept)}")
-        with open(victim, "w", encoding="utf-8") as f:
-            f.writelines(kept)
+            pristine = f.read()
+        if pristine.count(FIELD_LIST) != 1:
+            return fail(f"expected exactly one '{FIELD_LIST}' in {VICTIM}, "
+                        f"found {pristine.count(FIELD_LIST)}")
 
-        rc, out = run_detlint(tmp)
-        if rc != 1:
-            return fail(f"mutant scan exited {rc}, expected 1 (findings):\n{out}")
-        if "D8" not in out:
-            return fail(f"mutant scan produced no D8 finding:\n{out}")
+        for name, mutant, message in MUTANTS:
+            with open(victim, "w", encoding="utf-8") as f:
+                f.write(pristine.replace(FIELD_LIST, mutant))
+            rc, out = run_detlint(tmp)
+            if rc != 1:
+                return fail(f"{name} mutant scan exited {rc}, expected 1 (findings):\n{out}")
+            if "D8" not in out or message not in out:
+                return fail(f"{name} mutant produced no D8 '{message}' finding:\n{out}")
 
-        print("mutation_selftest: ok (dropped writer field write; D8 fired)")
+        print("mutation_selftest: ok (dropped and swapped AsNode fields() entries; D8 fired)")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
