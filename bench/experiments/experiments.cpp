@@ -8,6 +8,8 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/rib.h"
@@ -562,7 +564,7 @@ void e10_beyond_median(std::optional<double> days) {
 
 /// One E11 egress policy's latency and interface-load tallies.
 struct PolicyStats {
-  stats::WeightedCdf rtt;
+  std::vector<stats::Weighted> rtt;  ///< (RTT ms, volume) per plan-window
   double rtt_weighted_sum = 0.0;
   double weight_sum = 0.0;
   std::size_t overloaded_link_windows = 0;
@@ -673,7 +675,7 @@ void e11_edge_fabric(std::optional<double> days) {
       for (std::size_t i = 0; i < cplans.size(); ++i) {
         const auto link = cplans[i].options[choice[i]].link;
         const double ms = base[i * 3 + choice[i]] + extra[link];
-        out.rtt.add(ms, volume[i]);
+        out.rtt.push_back({ms, volume[i]});
         out.rtt_weighted_sum += ms * volume[i];
         out.weight_sum += volume[i];
       }
@@ -700,9 +702,10 @@ void e11_edge_fabric(std::optional<double> days) {
                       "traffic off preferred"}};
   auto row = [&](const char* name, PolicyStats& s) {
     const double mean = s.weight_sum > 0.0 ? s.rtt_weighted_sum / s.weight_sum : 0.0;
+    const stats::WeightedCdf rtt{std::move(s.rtt)};
     table.add_row({name, stats::fmt(mean, 2) + " ms",
-                   stats::fmt(s.rtt.quantile(0.5), 2) + " ms",
-                   stats::fmt(s.rtt.quantile(0.99), 2) + " ms",
+                   stats::fmt(rtt.quantile(0.5), 2) + " ms",
+                   stats::fmt(rtt.quantile(0.99), 2) + " ms",
                    std::to_string(s.overloaded_link_windows),
                    stats::fmt(100.0 * s.detoured_fraction_sum / n_windows, 2) + "%"});
   };
@@ -846,7 +849,7 @@ void e14_bandwidth(std::optional<double> days) {
     return measure::goodput_mbps(kDownloadBytes, rtt, tcp);
   };
 
-  stats::WeightedCdf diff;  // best alternate - preferred, Mbps
+  std::vector<stats::Weighted> diff_obs;  // best alternate - preferred, Mbps
   const auto windows = fifteen_minute_grid(days.value_or(2.0));
   for (std::size_t w = 0; w < windows.size(); w += 4) {
     const SimTime t = windows[w].midpoint();
@@ -857,9 +860,10 @@ void e14_bandwidth(std::optional<double> days) {
       for (std::size_t r = 1; r < plan.paths.size(); ++r) {
         best_alt = std::max(best_alt, session_goodput(plan, r, t));
       }
-      diff.add(best_alt - preferred, volume);
+      diff_obs.push_back({best_alt - preferred, volume});
     }
   }
+  const stats::WeightedCdf diff{std::move(diff_obs)};
 
   std::printf("<PoP,prefix> pairs: %zu, observations: %zu\n\n", plans.size(),
               diff.count());

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bgpcmp/bgp/propagation.h"
@@ -254,8 +255,10 @@ BENCHMARK(BM_WeightedQuantile)->Range(64, 65536)->Unit(benchmark::kMicrosecond);
 
 void BM_CdfSeries(benchmark::State& state) {
   Rng rng{321};
-  stats::WeightedCdf cdf;
-  for (int i = 0; i < 100000; ++i) cdf.add(rng.normal(0, 5), rng.uniform(0.1, 2.0));
+  std::vector<stats::Weighted> obs;
+  obs.reserve(100000);
+  for (int i = 0; i < 100000; ++i) obs.push_back({rng.normal(0, 5), rng.uniform(0.1, 2.0)});
+  const stats::WeightedCdf cdf{std::move(obs)};
   for (auto _ : state) {
     auto series = cdf.cdf_series(-10, 10, 21);
     benchmark::DoNotOptimize(series.size());
@@ -263,15 +266,17 @@ void BM_CdfSeries(benchmark::State& state) {
 }
 BENCHMARK(BM_CdfSeries)->Unit(benchmark::kMicrosecond);
 
-// WeightedCdf::quantile binary-searches the cumulative weights its sorted
-// state maintains; the figure loops call it per rendered point, so it must
+// WeightedCdf::quantile binary-searches the cumulative weights its
+// constructor built; the figure loops call it per rendered point, so it must
 // not re-sort per call the way freestanding weighted_quantile does.
 void BM_CdfQuantile(benchmark::State& state) {
   Rng rng{321};
-  stats::WeightedCdf cdf;
+  std::vector<stats::Weighted> obs;
+  obs.reserve(static_cast<std::size_t>(state.range(0)));
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    cdf.add(rng.normal(0, 5), rng.uniform(0.1, 2.0));
+    obs.push_back({rng.normal(0, 5), rng.uniform(0.1, 2.0)});
   }
+  const stats::WeightedCdf cdf{std::move(obs)};
   double q = 0.0;
   for (auto _ : state) {
     q += 0.001;

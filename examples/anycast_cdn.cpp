@@ -2,6 +2,8 @@
 // client's catchment vs its best front-end, run DNS redirection for its
 // resolver cluster, and summarize who anycast fails.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/cdn/dns_redirect.h"
 #include "bgpcmp/core/scenario.h"
@@ -21,19 +23,20 @@ int main() {
   // Survey every client once: catchment quality.
   Rng rng{2024};
   const SimTime t = SimTime::hours(14);
-  stats::WeightedCdf gaps;
+  std::vector<stats::Weighted> gap_obs;
   traffic::PrefixId worst_client = 0;
   double worst_gap = -1.0;
   for (traffic::PrefixId id = 0; id < scenario->clients.size(); ++id) {
     cdn::BeaconResult r;
     if (!beacons.measure(id, t, rng, r)) continue;
     const double gap = r.anycast.value() - r.best_unicast().value();
-    gaps.add(gap, scenario->clients.at(id).user_weight);
+    gap_obs.push_back({gap, scenario->clients.at(id).user_weight});
     if (gap > worst_gap) {
       worst_gap = gap;
       worst_client = id;
     }
   }
+  const stats::WeightedCdf gaps{std::move(gap_obs)};
   std::printf("anycast within 10 ms of best unicast: %5.1f%% of users\n",
               100.0 * gaps.fraction_at_most(10.0));
   std::printf("anycast >= 50 ms worse:               %5.1f%% of users\n\n",

@@ -7,8 +7,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The repo lint (docs/TOOLING.md, "Static contracts"): the self-test pins
-# every rule (token rules R1-R7 and the semantic rules D2, D4-D10) against
-# the fixture corpus, then the tree must scan clean. D8 checks that each
+# every rule (token rules R1-R4, R6, R7 and the semantic rules D2, D4,
+# D6-D10) against the fixture corpus, then the tree must scan clean. D8 checks that each
 # serialized struct's one fields() list names its members in declaration
 # order and diffs the layouts against tools/detlint/snapshot_schema.lock.
 python3 tools/detlint/detlint.py --self-test tests/detlint_fixtures

@@ -16,12 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Kept on purpose, matched against the demangled name:
-#   test support that only tests call, and the structural table checks the
-#   stable-state certificate (ROADMAP) replaces.
+# Kept on purpose, matched against the demangled name: the structural table
+# checks the stable-state certificate (ROADMAP) replaces.
 allowlist=(
-  'bgpcmp::ScopedCheckThrows::'
-  'bgpcmp::check_detail::install_handler('
   'bgpcmp::bgp::table_is_consistent('
   'bgpcmp::bgp::is_valley_free('
 )

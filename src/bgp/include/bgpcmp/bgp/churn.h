@@ -22,7 +22,6 @@
 
 #include "bgpcmp/bgp/propagation_detail.h"
 #include "bgpcmp/netbase/lookup.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 
 namespace bgpcmp::bgp {
 
@@ -100,21 +99,15 @@ class ChurnEngine {
  public:
   /// Full three-stage converge of `base` (the announcement before any
   /// events); `graph` must outlive the engine and stay immutable.
-  BGPCMP_PHASE(warm)
   ChurnEngine(const AsGraph* graph, OriginSpec base);
 
   /// Apply an event batch and re-converge from the changed frontier. A
-  /// warm-delta step: mutates warmed state and leaves it warmed, so a
-  /// dominating reconverge() call re-establishes the converge/warm contract
-  /// for detlint D5 (docs/TOOLING.md, "Phase contracts").
-  BGPCMP_PHASE(warm)
-  BGPCMP_REQUIRES_WARMED(converge)
+  /// warm-delta step: mutates the state the constructor converged and leaves
+  /// it converged, so table() is complete before and after every call.
   ChurnStats reconverge(std::span<const ChurnEvent> events);
 
   /// The current routing table (post every event applied so far). Read-only;
   /// safe from concurrent readers between reconverge() calls.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(converge)
   [[nodiscard]] const RouteTable& table() const { return table_; }
 
   /// The announcement as the network currently sees it: the groomed base
@@ -158,7 +151,6 @@ class ChurnEngine {
   /// Recompute eff_ from base_ and the down sets.
   [[nodiscard]] OriginSpec materialize() const;
   /// Full converge under eff_ (construction only; deltas re-relax in place).
-  BGPCMP_PHASE(warm)
   void converge();
 
   const AsGraph* graph_;

@@ -18,7 +18,6 @@
 
 #include "bgpcmp/bgp/churn.h"
 #include "bgpcmp/bgp/propagation.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 
 namespace bgpcmp::exec {
 class ThreadPool;
@@ -41,14 +40,12 @@ class RouteCache {
   /// `pool` via parallel_map. Slots are keyed by origin index, so warming
   /// never moves existing tables, and the result is byte-identical at any
   /// pool width.
-  BGPCMP_PHASE(warm)
   void warm(std::span<const AsIndex> origins, exec::ThreadPool& pool);
 
   /// Install a precomputed table into `origin`'s slot (snapshot restore:
   /// core/snapshot.h deserializes warmed tables instead of recomputing
   /// them). Same slot discipline as warm() — and the installed bytes are
   /// golden-pinned equal to a recompute by the snapshot's table digests.
-  BGPCMP_PHASE(warm)
   void install(AsIndex origin, RouteTable table) {
     std::optional<RouteTable>& slot = slots_.at(origin);
     if (slot.has_value()) return;  // warm() semantics: first fill wins
@@ -57,11 +54,7 @@ class RouteCache {
   }
 
   /// The warmed table toward `origin`, or nullptr if it was never computed.
-  /// Read-only: safe from concurrent readers after warming. detlint D5
-  /// requires every parallel region that reaches this to be dominated by a
-  /// warm() call.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm)
+  /// Const and read-only: safe from concurrent readers after warming.
   [[nodiscard]] const RouteTable* find(AsIndex origin) const {
     const std::optional<RouteTable>& slot = slots_.at(origin);
     return slot.has_value() ? &*slot : nullptr;
@@ -77,8 +70,6 @@ class RouteCache {
   /// state and the result is byte-identical at any pool width — the same
   /// index-addressed-slot discipline as warm() (docs/PARALLELISM.md). A
   /// one-origin wave is the serial case.
-  BGPCMP_PHASE(warm)
-  BGPCMP_REQUIRES_WARMED(warm)
   std::vector<ChurnStats> reconverge(std::span<const OriginChurn> wave,
                                      exec::ThreadPool& pool);
 

@@ -14,7 +14,6 @@
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/cdn/provider.h"
 #include "bgpcmp/latency/path_model.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/traffic/clients.h"
 
 namespace bgpcmp::cdn {
@@ -31,12 +30,9 @@ class AnycastCdn {
   /// Re-announce the anycast prefix with a groomed spec (prepends,
   /// suppressed sessions) and recompute routes. The spec's origin must be
   /// the provider AS.
-  BGPCMP_PHASE(warm)
   void set_anycast_spec(bgp::OriginSpec spec);
 
   [[nodiscard]] const bgp::OriginSpec& anycast_spec() const { return anycast_spec_; }
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm_unicast_tables)
   [[nodiscard]] const bgp::RouteTable& anycast_table() const { return *anycast_table_; }
   [[nodiscard]] const ContentProvider& provider() const { return *provider_; }
 
@@ -48,17 +44,12 @@ class AnycastCdn {
 
     [[nodiscard]] bool valid() const { return path.valid(); }
   };
-  // Serve-phase queries: read-only over tables the constructor warmed
-  // (constructor discharge in detlint D5 terms — a constructed AnycastCdn is
-  // warmed by definition, so parallel regions may call these freely).
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm_unicast_tables)
+  // Const reads over tables the constructor computed: a constructed
+  // AnycastCdn is complete, so parallel regions may call these freely.
   [[nodiscard]] AnycastRoute anycast_route(const traffic::ClientPrefix& client) const;
 
   /// The client's route to the unicast prefix of a specific front-end
   /// (announced only at that PoP). Invalid if unreachable or the PoP is down.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm_unicast_tables)
   [[nodiscard]] lat::GeoPath unicast_route(const traffic::ClientPrefix& client,
                                            PopId pop) const;
 
@@ -78,7 +69,6 @@ class AnycastCdn {
   /// PoP. Called once from the constructor; replaces the old lazy per-call
   /// population, which mutated mutable caches from const methods and raced
   /// under concurrent unicast_route callers.
-  BGPCMP_PHASE(warm)
   void warm_unicast_tables();
 
   const Internet* internet_;

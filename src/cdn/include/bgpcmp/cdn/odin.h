@@ -57,15 +57,13 @@ class OdinBeacons {
                              BeaconResult& result) const;
 
   /// Deterministic half of a beacon: resolve routes and base RTTs, drawing no
-  /// randomness. Thread-safe against concurrent plan() calls. (Warm-phase:
-  /// this is the half studies fan out over the pool, plan-then-sample.)
-  BGPCMP_PHASE(warm)
+  /// randomness. Thread-safe against concurrent plan() calls: this is the
+  /// half studies fan out over the pool, plan-then-sample.
   [[nodiscard]] BeaconPlan plan(traffic::PrefixId client, SimTime t) const;
 
   /// Apply fetch noise to a plan, drawing exactly the sequence measure()
-  /// would for the same beacon. Returns measure()'s verdict. Serve-phase:
-  /// pure function of the plan plus the caller's Rng, no warm work.
-  BGPCMP_PHASE(serve)
+  /// would for the same beacon. Returns measure()'s verdict. A pure
+  /// function of the plan plus the caller's Rng.
   [[nodiscard]] bool sample(const BeaconPlan& plan, Rng& rng,
                             BeaconResult& result) const;
 

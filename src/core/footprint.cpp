@@ -1,6 +1,8 @@
 #include "bgpcmp/core/footprint.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/stats/cdf.h"
 
@@ -36,18 +38,19 @@ FootprintResult run_footprint_ablation(const ScenarioConfig& base,
     point.provider_peer_edges = peer_edges;
     point.improvable_frac_5ms = study.improvable_traffic_fraction(5.0);
 
-    stats::WeightedCdf bgp_rtts;
+    std::vector<stats::Weighted> rtt_obs;
     double transit_traffic = 0.0;
     double total_traffic = 0.0;
     for (const auto& s : study.series) {
       const bool transit_preferred =
           s.routes[0].role == topo::NeighborRole::Provider;
       for (std::size_t w = 0; w < study.windows.size(); ++w) {
-        bgp_rtts.add(s.medians[0][w], s.volume[w]);
+        rtt_obs.push_back({s.medians[0][w], s.volume[w]});
         total_traffic += s.volume[w];
         if (transit_preferred) transit_traffic += s.volume[w];
       }
     }
+    const stats::WeightedCdf bgp_rtts{std::move(rtt_obs)};
     if (!bgp_rtts.empty()) {
       // Traffic-weighted mean.
       double sum = 0.0;

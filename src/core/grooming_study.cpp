@@ -1,6 +1,8 @@
 #include "bgpcmp/core/grooming_study.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/stats/cdf.h"
 
@@ -19,7 +21,7 @@ AnycastQuality measure_anycast_quality(const Scenario& scenario,
     weights.push_back(scenario.clients.at(id).user_weight);
   }
 
-  stats::WeightedCdf gaps;
+  std::vector<stats::Weighted> gap_obs;
   double gap_sum = 0.0;
   double weight_sum = 0.0;
   for (int i = 0; i < config.sample_clients; ++i) {
@@ -28,12 +30,13 @@ AnycastQuality measure_anycast_quality(const Scenario& scenario,
     if (!beacons.measure(id, config.measure_time, rng, r)) continue;
     const double gap = r.anycast.value() - r.best_unicast().value();
     const double w = scenario.clients.at(id).user_weight;
-    gaps.add(gap, w);
+    gap_obs.push_back({gap, w});
     gap_sum += gap * w;
     weight_sum += w;
   }
 
   AnycastQuality q;
+  const stats::WeightedCdf gaps{std::move(gap_obs)};
   if (!gaps.empty()) {
     q.mean_gap_ms = weight_sum > 0.0 ? gap_sum / weight_sum : 0.0;
     q.median_gap_ms = gaps.quantile(0.5);

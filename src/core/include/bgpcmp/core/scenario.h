@@ -49,13 +49,11 @@ struct ScenarioConfig {
 /// so internal pointers stay stable. Non-copyable.
 class ScaleWorld {
  public:
-  BGPCMP_PHASE(build)
   static std::unique_ptr<ScaleWorld> make(const ScenarioConfig& config = {});
 
   /// Adopt a pre-built world (e.g. loaded from a topology snapshot) that
   /// does not yet contain the provider AS; attaches the provider exactly
   /// like a fresh build, so the result is byte-identical to make().
-  BGPCMP_PHASE(build)
   static std::unique_ptr<ScaleWorld> adopt(ScenarioConfig config, topo::Internet world);
 
   ScaleWorld(const ScaleWorld&) = delete;
@@ -82,7 +80,6 @@ class ScaleWorld {
 /// model: what the eager studies, the query server and the snapshots use.
 class Scenario : public ScaleWorld {
  public:
-  BGPCMP_PHASE(build)
   static std::unique_ptr<Scenario> make(const ScenarioConfig& config = {});
 
   /// Like make(), but sources the Internet from topo::WorldCache::global():
@@ -90,7 +87,6 @@ class Scenario : public ScaleWorld {
   /// multiple provider presets on one world) copy a cached snapshot instead
   /// of regenerating it. The determinism audit must keep using make() — it
   /// compares two independent builds by design.
-  BGPCMP_PHASE(build)
   static std::unique_ptr<Scenario> make_cached(const ScenarioConfig& config = {});
 
   /// Rehydrate a scenario from snapshot-loaded parts (core/snapshot.h): the
@@ -98,8 +94,7 @@ class Scenario : public ScaleWorld {
   /// deserialized rather than re-generated. Demand, congestion, and latency
   /// are cheap derivations and are rebuilt from `config` — their inputs
   /// (clients, graph, seeds) are byte-identical to a fresh build, so the
-  /// models are too. Warm phase: this is the load half of a warm start.
-  BGPCMP_PHASE(warm)
+  /// models are too. This is the load half of a warm start.
   static std::unique_ptr<Scenario> restore(ScenarioConfig config, topo::Internet world,
                                            cdn::ContentProvider provider,
                                            traffic::ClientBase clients);

@@ -6,9 +6,8 @@
 // demand. It comes up two ways: build() (full topology generation + route
 // warming) or load() (replay a serving snapshot, core/snapshot.h — the 10x
 // cold-start path bench/e19_serving.cpp measures). Either way the object is
-// warmed on construction, so serve-phase reads are valid for its whole
-// lifetime; the BGPCMP_PHASE / BGPCMP_REQUIRES_WARMED annotations put every
-// query under detlint D5 and Clang TSA coverage.
+// complete on construction and every query is a const read of it, so reads
+// are valid from any thread for its whole lifetime.
 //
 // QueryServer batches queries over a thread pool with exec::parallel_chunks:
 // each chunk writes only its own answer slots, so a batch's answers — and
@@ -60,7 +59,6 @@ struct Query {
 class ServingWorld {
  public:
   /// Cold start from scratch: generate the world, rank the warm set, warm.
-  BGPCMP_PHASE(build)
   [[nodiscard]] static std::unique_ptr<ServingWorld> build(
       const ScenarioConfig& config = {}, const ServingConfig& serving = {});
 
@@ -72,19 +70,15 @@ class ServingWorld {
   /// walk; pass kFull to additionally re-pin the materialized world against
   /// the stored internet_fingerprint (tests and the serving_default audit
   /// scenario do).
-  BGPCMP_PHASE(warm)
   [[nodiscard]] static std::unique_ptr<ServingWorld> load(
       const std::string& path, const ScenarioConfig& config,
       topo::SnapshotVerify verify = topo::SnapshotVerify::kPayload);
 
   /// Write this world and its warmed tables as a serving snapshot.
-  BGPCMP_PHASE(warm)
   void save(const std::string& path) const;
 
   /// Answer one query as a canonical one-line string (stable field=value
   /// text; doubles printed with %.3f) — the unit the batch digest hashes.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm_serving_tables)
   [[nodiscard]] std::string answer(const Query& query) const;
 
   /// A deterministic query stream: kinds round-robin Latency/Egress/
@@ -104,17 +98,10 @@ class ServingWorld {
  private:
   /// Fresh build: rank the warm set from demand, then warm.
   ServingWorld(std::unique_ptr<Scenario> scenario, ServingConfig serving);
-  /// Snapshot load: adopt the stored warm set, install its tables, and run
-  /// the (now no-op) warm pass so both paths discharge the same contract.
+  /// Snapshot load: adopt the stored warm set and install its tables.
   ServingWorld(std::unique_ptr<Scenario> scenario,
                std::vector<topo::AsIndex> warmed,
                std::vector<bgp::RouteTable> tables);
-
-  /// Compute every warmed_ table (first-fill-wins: tables installed from a
-  /// snapshot stay). Called from both constructors — detlint's constructor
-  /// discharge — and named by every BGPCMP_REQUIRES_WARMED above.
-  BGPCMP_PHASE(warm)
-  void warm_serving_tables();
 
   /// Shared post-warm setup: membership flags and the two popularity CDFs.
   void index_prefixes();
@@ -147,8 +134,6 @@ class QueryServer {
       : world_(world), pool_(pool), chunk_(chunk) {}
 
   /// Answers in query order, byte-identical at any pool width.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(warm_serving_tables)
   [[nodiscard]] std::vector<std::string> answer_batch(
       std::span<const Query> queries) const;
 

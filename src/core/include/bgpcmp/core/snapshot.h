@@ -41,7 +41,6 @@ struct ServingState {
 
 /// Serialize `scenario` and the warmed tables for `warmed` (every origin must
 /// have a table in `tables` — BGPCMP_CHECKed) into a four-section snapshot.
-BGPCMP_PHASE(warm)
 void save_serving_snapshot(const std::string& path, const Scenario& scenario,
                            std::span<const topo::AsIndex> warmed,
                            const bgp::RouteCache& tables);
@@ -51,7 +50,6 @@ void save_serving_snapshot(const std::string& path, const Scenario& scenario,
 /// for the two-tier integrity rationale), and rehydrate. Any mismatch trips a
 /// BGPCMP_CHECK — callers that want a fallback rebuild catch CheckError via
 /// ScopedCheckThrows.
-BGPCMP_PHASE(warm)
 [[nodiscard]] ServingState load_serving_snapshot(
     const std::string& path, const ScenarioConfig& config,
     topo::SnapshotVerify verify = topo::SnapshotVerify::kFull);

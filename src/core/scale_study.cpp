@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/core/fingerprint.h"
 #include "bgpcmp/core/pop_pair.h"
@@ -104,11 +106,12 @@ ScaleStudyResult run_scale_study(const ScaleWorld& world,
 }
 
 stats::WeightedCdf ScaleStudyResult::fig1_cdf() const {
-  stats::WeightedCdf cdf;
-  for (const auto& chunk : chunks) {
-    for (const auto& obs : chunk.fig1) cdf.add(obs.value, obs.weight);
-  }
-  return cdf;
+  std::size_t count = 0;
+  for (const auto& chunk : chunks) count += chunk.fig1.size();
+  std::vector<stats::Weighted> obs;
+  obs.reserve(count);
+  for (const auto& chunk : chunks) obs.insert(obs.end(), chunk.fig1.begin(), chunk.fig1.end());
+  return stats::WeightedCdf{std::move(obs)};
 }
 
 double ScaleStudyResult::improvable_traffic_fraction(double threshold_ms) const {

@@ -57,7 +57,7 @@ ServingWorld::ServingWorld(std::unique_ptr<Scenario> scenario, ServingConfig ser
       tables_(&scenario_->internet.graph),
       warmed_(rank_warm_origins(*scenario_, serving.warm_origins)),
       anycast_spec_(bgp::OriginSpec::everywhere(scenario_->provider.as_index())) {
-  warm_serving_tables();
+  tables_.warm(warmed_, exec::global_pool());
   index_prefixes();
 }
 
@@ -73,15 +73,7 @@ ServingWorld::ServingWorld(std::unique_ptr<Scenario> scenario,
                   "every warmed origin needs its snapshot table");
   for (std::size_t i = 0; i < warmed_.size(); ++i)
     tables_.install(warmed_[i], std::move(tables[i]));
-  // All slots are installed, so this recomputes nothing (first fill wins) —
-  // but both construction paths run it, so detlint's constructor discharge
-  // covers every serve-phase read the same way.
-  warm_serving_tables();
   index_prefixes();
-}
-
-void ServingWorld::warm_serving_tables() {
-  tables_.warm(warmed_, exec::global_pool());
 }
 
 void ServingWorld::index_prefixes() {

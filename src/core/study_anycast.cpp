@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgpcmp/cdn/odin.h"
@@ -14,12 +15,14 @@ namespace bgpcmp::core {
 AnycastStudyResult run_anycast_study(const Scenario& scenario,
                                      const cdn::AnycastCdn& cdn,
                                      const AnycastStudyConfig& config) {
-  AnycastStudyResult result;
   const topo::CityDb& db = scenario.internet.city_db();
   cdn::OdinBeacons beacons{&cdn, &scenario.latency, &scenario.clients, config.odin};
   Rng root{config.seed};
 
   // ---- Fig 3: per-request anycast vs best unicast -----------------------
+  std::vector<stats::Weighted> world;
+  std::vector<stats::Weighted> europe;
+  std::vector<stats::Weighted> us;
   {
     // Warm-then-plan (docs/PARALLELISM.md): the deterministic halves of all
     // beacons — route resolution and base RTTs — fan out over the pool; the
@@ -46,30 +49,25 @@ AnycastStudyResult run_anycast_study(const Scenario& scenario,
           continue;
         }
         const double gap = beacon.anycast.value() - beacon.best_unicast().value();
-        result.fig3_world.add(gap, request_weight);
+        world.push_back({gap, request_weight});
         const auto& city = db.at(client.city);
-        if (city.region == topo::Region::Europe) {
-          result.fig3_europe.add(gap, request_weight);
-        }
-        if (city.country == "United States") {
-          result.fig3_us.add(gap, request_weight);
-        }
+        if (city.region == topo::Region::Europe) europe.push_back({gap, request_weight});
+        if (city.country == "United States") us.push_back({gap, request_weight});
       }
     }
-    result.frac_within_10ms = result.fig3_world.fraction_at_most(10.0);
-    result.frac_unicast_100ms_faster = result.fig3_world.fraction_above(100.0);
   }
 
   // ---- Fig 4: LDNS-granularity DNS redirection vs anycast ----------------
+  std::vector<stats::Weighted> fig4_median;
+  std::vector<stats::Weighted> fig4_p75;
+  double improved_weight = 0.0;
+  double worse_weight = 0.0;
+  double total_weight = 0.0;
   {
     cdn::DnsRedirector redirector{&cdn, &beacons, &scenario.clients, config.dns};
     const auto clusters = redirector.build_clusters();
     const lat::RttSampler sampler;
     Rng rng = root.fork("fig4");
-
-    double improved_weight = 0.0;
-    double worse_weight = 0.0;
-    double total_weight = 0.0;
     constexpr double kEps = 1.0;  // ms; deadband around "no change"
 
     // Per-member deterministic work for one cluster whose decision picked
@@ -137,17 +135,27 @@ AnycastStudyResult run_anycast_study(const Scenario& scenario,
         if (improvements.empty()) continue;
         const double med = stats::quantile(improvements, 0.5);
         const double p75 = stats::quantile(improvements, 0.75);
-        result.fig4_median.add(med, client.user_weight);
-        result.fig4_p75.add(p75, client.user_weight);
+        fig4_median.push_back({med, client.user_weight});
+        fig4_p75.push_back({p75, client.user_weight});
         total_weight += client.user_weight;
         if (med > kEps) improved_weight += client.user_weight;
         if (med < -kEps) worse_weight += client.user_weight;
       }
     }
-    if (total_weight > 0.0) {
-      result.fig4_improved_fraction = improved_weight / total_weight;
-      result.fig4_worse_fraction = worse_weight / total_weight;
-    }
+  }
+
+  AnycastStudyResult result{
+      .fig3_world = stats::WeightedCdf{std::move(world)},
+      .fig3_europe = stats::WeightedCdf{std::move(europe)},
+      .fig3_us = stats::WeightedCdf{std::move(us)},
+      .fig4_median = stats::WeightedCdf{std::move(fig4_median)},
+      .fig4_p75 = stats::WeightedCdf{std::move(fig4_p75)},
+  };
+  result.frac_within_10ms = result.fig3_world.fraction_at_most(10.0);
+  result.frac_unicast_100ms_faster = result.fig3_world.fraction_above(100.0);
+  if (total_weight > 0.0) {
+    result.fig4_improved_fraction = improved_weight / total_weight;
+    result.fig4_worse_fraction = worse_weight / total_weight;
   }
   return result;
 }

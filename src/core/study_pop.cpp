@@ -1,6 +1,8 @@
 #include "bgpcmp/core/study_pop.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "bgpcmp/core/pop_pair.h"
 
@@ -36,16 +38,17 @@ PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& con
 }
 
 stats::WeightedCdf PopStudyResult::fig1_cdf(Fig1Bound bound) const {
-  stats::WeightedCdf cdf;
+  std::vector<stats::Weighted> obs;
+  obs.reserve(series.size() * windows.size());
   for (const auto& s : series) {
     for (std::size_t w = 0; w < windows.size(); ++w) {
       double value = s.diff(w);
       if (bound == Fig1Bound::Lower) value = s.ci_lower[w];
       if (bound == Fig1Bound::Upper) value = s.ci_upper[w];
-      cdf.add(value, s.volume[w]);
+      obs.push_back({value, s.volume[w]});
     }
   }
-  return cdf;
+  return stats::WeightedCdf{std::move(obs)};
 }
 
 namespace {
@@ -54,7 +57,7 @@ namespace {
 /// <pair, window> entries where both classes exist.
 template <typename ClassOf>
 stats::WeightedCdf class_diff_cdf(const PopStudyResult& result, ClassOf class_of) {
-  stats::WeightedCdf cdf;
+  std::vector<stats::Weighted> obs;
   for (const auto& s : result.series) {
     std::vector<std::size_t> class_a;
     std::vector<std::size_t> class_b;
@@ -70,10 +73,10 @@ stats::WeightedCdf class_diff_cdf(const PopStudyResult& result, ClassOf class_of
         for (const auto r : idx) m = std::min(m, s.medians[r][w]);
         return m;
       };
-      cdf.add(best(class_a) - best(class_b), s.volume[w]);
+      obs.push_back({best(class_a) - best(class_b), s.volume[w]});
     }
   }
-  return cdf;
+  return stats::WeightedCdf{std::move(obs)};
 }
 
 }  // namespace

@@ -112,7 +112,8 @@ auto parallel_map(std::size_t n, Fn&& fn) {
 /// this way while keeping the index-addressed-slot discipline: each chunk
 /// owns exactly its index range, so output is byte-identical at any pool
 /// width. tools/detlint treats parallel_chunks as a parallel region like
-/// parallel_for/parallel_map, so phase contracts (D5) cover chunked bodies.
+/// parallel_for/parallel_map, so its region rules (D7, D9) cover chunked
+/// bodies.
 template <typename Body>
 void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunk, Body&& body) {
   const std::size_t width = chunk == 0 ? 1 : chunk;

@@ -9,18 +9,15 @@
 //     -Werror=thread-safety on every Clang configuration;
 //   * Mutex / MutexLock are thin annotated wrappers over std::mutex —
 //     libstdc++'s std::mutex carries no capability attributes, so a bare
-//     guarded_by(std::mutex) member could never be satisfied;
-//   * BGPCMP_SINGLE_THREAD marks types (or members) whose lazy mutable state
-//     is deliberately unsynchronized. The marker expands to nothing; it is a
-//     machine-readable contract consumed by tools/detlint (rule D2) and
-//     backed at runtime by OwningThread below.
+//     guarded_by(std::mutex) member could never be satisfied.
+//
+// Shared read-only state needs no marker: it is complete when constructed
+// and read through const methods, and detlint D2 rejects any mutable member
+// that is not atomic, a Mutex or BGPCMP_GUARDED_BY, so a const read path
+// cannot write unsynchronized state.
 #pragma once
 
-#include <atomic>
 #include <mutex>
-#include <thread>
-
-#include "bgpcmp/netbase/check.h"
 
 // Clang exposes the analysis through GNU-style attributes; every other
 // compiler sees empty token soup. The __has_attribute probe keeps ancient
@@ -62,49 +59,21 @@
 #define BGPCMP_NO_THREAD_SAFETY_ANALYSIS \
   BGPCMP_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
-/// Marks a type or data member as single-thread-only by contract: its lazy
-/// mutable state is unsynchronized on purpose (WeightedCdf's sort cache).
-/// Expands to nothing — the value is that tools/detlint rule D2 accepts
-/// marked members and flags unmarked mutable state, and reviewers can grep
-/// for every such waiver. Pair with an
-/// OwningThread runtime assertion so the contract also trips in builds
-/// without Clang TSA (see BGPCMP_ASSERT_SINGLE_THREAD).
-#define BGPCMP_SINGLE_THREAD
-
 // ---------------------------------------------------------------------------
-// Phase and ordering contracts (tools/detlint rules D5/D6).
-//
-// The deterministic-parallelism architecture is build -> warm -> read-only
-// serve (docs/PARALLELISM.md, "warm-then-plan"). These markers expand to
-// nothing for the compiler; detlint reads them as facts and checks them over
-// an include-graph-wide call graph, so the contract that used to live in the
-// comment atop route_cache.h is now machine-enforced.
+// Ordering contracts (tools/detlint rules D6/D9/D10). These expand to nothing
+// for the compiler; detlint reads them as facts.
 
-/// Declares which phase a function belongs to: `build` constructs worlds and
-/// tables, `warm` precomputes shared read-only state (route tables, CSR edge
-/// indexes), `serve` reads that state — possibly from many threads at once.
-/// detlint D5 fails a serve-phase function that transitively performs warm or
-/// build work: serving must stay read-only.
-#define BGPCMP_PHASE(p)
-
-/// Names the warm step(s) that must complete before this serve-phase function
-/// runs inside a parallel region. detlint D5 walks every
-/// parallel_for/parallel_map region and requires a dominating call to the
-/// named function — earlier in the enclosing function, on the call chain into
-/// the region, or performed by a constructor of the named function's class
-/// (a fully-warmed object handed to the pool). Violations are reported with
-/// the offending call chain.
+/// Empty, and read by no rule: construction is the warm step, so nothing is
+/// left to declare. Kept only because bench/pipeline/serve.cpp still names it.
 #define BGPCMP_REQUIRES_WARMED(...)
 
 /// Declares a function pure in its explicit inputs at chunk granularity: no
-/// mutable function-local statics, no writes through unannotated namespace-
-/// scope globals, and every BGPCMP_REQUIRES_WARMED callee dominated by a
-/// per-chunk warm (or constructor discharge) inside the function itself.
-/// This is the machine-readable form of the "pure in (world, config, chunk)"
-/// comments on run_scale_chunk and the shard codec: detlint D10 chases every
-/// reachable call and fails on shared state the chunk did not build for
-/// itself, and D9 additionally rejects raw draws on an unforked root Rng in
-/// the body. Expands to nothing.
+/// mutable function-local statics and no writes through unannotated
+/// namespace-scope globals. This is the machine-readable form of the "pure
+/// in (world, config, chunk)" comments on run_scale_chunk and the shard
+/// codec: detlint D10 chases every reachable call and fails on shared state
+/// the chunk did not build for itself, and D9 additionally rejects raw draws
+/// on an unforked root Rng in the body. Expands to nothing.
 #define BGPCMP_PURE_CHUNK
 
 /// Ranks a Mutex in the global acquisition order. detlint D6 builds the
@@ -147,61 +116,4 @@ class BGPCMP_SCOPED_CAPABILITY MutexLock {
   Mutex* mu_;
 };
 
-/// Runtime backstop for BGPCMP_SINGLE_THREAD: remembers the first thread
-/// that exercises a lazy mutation path and BGPCMP_CHECKs that every later
-/// one is the same thread. The pin happens on first check(), not at
-/// construction, so build-on-thread-A-then-render-on-thread-B handoffs stay
-/// legal as long as all *mutation* stays on one side; call reset() before a
-/// deliberate handoff of the mutation role.
-///
-/// Copies and moves start unpinned: a copied container lives wherever the
-/// copy lives, and its owner is whoever touches it next.
-class OwningThread {
- public:
-  OwningThread() = default;
-  OwningThread(const OwningThread&) noexcept {}
-  OwningThread& operator=(const OwningThread&) noexcept {
-    reset();
-    return *this;
-  }
-
-  /// Pin on first call; fail on any call from a different thread. `what`
-  /// names the violated contract in the diagnostic.
-  void check(const char* what) const {
-    const std::thread::id self = std::this_thread::get_id();
-    std::thread::id expected{};
-    if (owner_.compare_exchange_strong(expected, self,
-                                       std::memory_order_relaxed)) {
-      return;  // first use: this thread is now the owner
-    }
-    BGPCMP_CHECK(expected == self, what,
-                 ": BGPCMP_SINGLE_THREAD type mutated from a second thread");
-  }
-
-  /// Forget the owner (deliberate handoff between sequential phases).
-  void reset() { owner_.store(std::thread::id{}, std::memory_order_relaxed); }
-
- private:
-  mutable std::atomic<std::thread::id> owner_{};
-};
-
 }  // namespace bgpcmp
-
-// Owning-thread assertions are compiled in when BGPCMP_THREAD_CHECKS is 1:
-// on by default in -DNDEBUG-less builds, forced on in the asan/tsan presets
-// (CMakePresets.json), and overridable with -DBGPCMP_THREAD_CHECKS=0/1. The
-// guarded sites are lazy-miss paths (a sort, a route-table build), so the
-// CAS is noise even when enabled.
-#ifndef BGPCMP_THREAD_CHECKS
-#ifdef NDEBUG
-#define BGPCMP_THREAD_CHECKS 0
-#else
-#define BGPCMP_THREAD_CHECKS 1
-#endif
-#endif
-
-#if BGPCMP_THREAD_CHECKS
-#define BGPCMP_ASSERT_SINGLE_THREAD(owner, what) (owner).check(what)
-#else
-#define BGPCMP_ASSERT_SINGLE_THREAD(owner, what) ((void)0)
-#endif

@@ -1,22 +1,19 @@
 #include "bgpcmp/stats/cdf.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "bgpcmp/netbase/check.h"
 
 namespace bgpcmp::stats {
 
-void WeightedCdf::add(double value, double weight) {
-  BGPCMP_CHECK_GE(weight, 0.0, "CDF weights must be non-negative");
-  obs_.push_back(Weighted{value, weight});
-  sorted_ = false;
-}
-
-void WeightedCdf::ensure_sorted() const {
-  if (sorted_) return;
-  // Once sorted, concurrent queries are pure reads; the single-thread
-  // contract only bites on this mutation path.
-  BGPCMP_ASSERT_SINGLE_THREAD(lazy_owner_, "WeightedCdf lazy sort");
+WeightedCdf::WeightedCdf(std::vector<Weighted> obs) : obs_(std::move(obs)) {
+  for (const Weighted& o : obs_) {
+    BGPCMP_CHECK(!std::isnan(o.value), "CDF values must not be NaN");
+    BGPCMP_CHECK(!std::isnan(o.weight), "CDF weights must not be NaN");
+    BGPCMP_CHECK_GE(o.weight, 0.0, "CDF weights must be non-negative");
+  }
   std::sort(obs_.begin(), obs_.end(),
             [](const Weighted& a, const Weighted& b) { return a.value < b.value; });
   cum_weight_.resize(obs_.size());
@@ -25,12 +22,10 @@ void WeightedCdf::ensure_sorted() const {
     acc += obs_[i].weight;
     cum_weight_[i] = acc;
   }
-  sorted_ = true;
 }
 
 double WeightedCdf::fraction_at_most(double x) const {
   BGPCMP_CHECK(!obs_.empty(), "CDF has no observations");
-  ensure_sorted();
   const double total = cum_weight_.back();
   if (total <= 0.0) return 0.0;
   // Last index with value <= x.
@@ -50,12 +45,10 @@ double WeightedCdf::quantile(double q) const {
   BGPCMP_CHECK(!obs_.empty(), "CDF has no observations");
   BGPCMP_CHECK_GE(q, 0.0, "quantile rank out of range");
   BGPCMP_CHECK_LE(q, 1.0, "quantile rank out of range");
-  ensure_sorted();
-  // Binary-search the cumulative weights ensure_sorted() maintains rather
-  // than re-sorting a copy of every observation per call (the old path was
-  // O(n log n) + an allocation per quantile, in every figure's rendering
-  // loop). Matches weighted_quantile exactly: the first observation whose
-  // cumulative weight reaches q * total, values bit-identical.
+  // Binary-search the cumulative weights the constructor built rather than
+  // re-sorting a copy of every observation per call. Matches
+  // weighted_quantile exactly: the first observation whose cumulative
+  // weight reaches q * total, values bit-identical.
   const double total = cum_weight_.back();
   BGPCMP_CHECK_GT(total, 0.0, "weighted quantile needs positive total weight");
   const double target = q * total;

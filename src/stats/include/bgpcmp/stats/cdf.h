@@ -1,14 +1,13 @@
 // Weighted empirical CDF / CCDF over observations.
 //
 // Figures 1, 2, and 4 are traffic-weighted CDFs; Figure 3 is a CCDF. This
-// class accumulates (value, weight) pairs and answers both directions, plus
+// class holds (value, weight) pairs and answers both directions, plus
 // produces evenly spaced series for the bench printers.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/stats/quantile.h"
 
 namespace bgpcmp::stats {
@@ -19,18 +18,16 @@ struct SeriesPoint {
   double y = 0.0;
 };
 
-// Not thread-safe: the query methods lazily (re)build sorted state through
-// mutable members. CDFs are built and rendered by one thread (typically the
-// main thread aggregating a study's output); share across threads only
-// behind external synchronization. The BGPCMP_SINGLE_THREAD markers make
-// that contract machine-readable (tools/detlint rule D2), and the lazy sort
-// carries an OwningThread assertion so a violation trips at runtime in
-// builds with BGPCMP_THREAD_CHECKS on.
-class BGPCMP_SINGLE_THREAD WeightedCdf {
+/// Complete when constructed: the constructor checks the observations,
+/// sorts them once and builds the cumulative weights, and every query is a
+/// const read of that state, so concurrent queries need no lock.
+class WeightedCdf {
  public:
-  WeightedCdf() = default;
-
-  void add(double value, double weight = 1.0);
+  /// Takes the observations by value; pass them by move so none is copied.
+  /// Every value must be a number (NaN has no place in a sort order) and
+  /// every weight a non-negative number; each is a BGPCMP_CHECK. An empty
+  /// CDF is allowed, but querying it is not.
+  explicit WeightedCdf(std::vector<Weighted> obs);
 
   [[nodiscard]] bool empty() const { return obs_.empty(); }
   [[nodiscard]] std::size_t count() const { return obs_.size(); }
@@ -50,12 +47,8 @@ class BGPCMP_SINGLE_THREAD WeightedCdf {
                                                      std::size_t points) const;
 
  private:
-  void ensure_sorted() const;
-
-  mutable std::vector<Weighted> obs_ BGPCMP_SINGLE_THREAD;
-  mutable std::vector<double> cum_weight_ BGPCMP_SINGLE_THREAD;  // parallel to sorted obs_
-  mutable bool sorted_ BGPCMP_SINGLE_THREAD = true;
-  OwningThread lazy_owner_;  ///< pins the thread running the lazy sort
+  std::vector<Weighted> obs_;       ///< sorted by value
+  std::vector<double> cum_weight_;  ///< running weight, parallel to obs_
 };
 
 }  // namespace bgpcmp::stats

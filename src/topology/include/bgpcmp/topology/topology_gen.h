@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bgpcmp/netbase/rng.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/topology/as_graph.h"
 #include "bgpcmp/topology/city.h"
 #include "bgpcmp/topology/ixp.h"
@@ -85,7 +84,6 @@ void fields(A& a, Internet& net) {
   a(net.graph, net.ixps, net.tier1s, net.transits, net.eyeballs, net.stubs);
 }
 
-BGPCMP_PHASE(build)
 [[nodiscard]] Internet build_internet(const InternetConfig& config);
 
 /// Canonical FNV-1a fingerprint over every structural field of a generated

@@ -33,9 +33,8 @@ class WorldCache {
  public:
   /// The world for `config`, building and caching it on first request.
   /// The returned snapshot is shared and immutable — callers needing a
-  /// mutable world (e.g. to attach a provider) must copy it. Warm-phase:
-  /// misses run build_internet, so it must never sit on a serve path.
-  BGPCMP_PHASE(warm)
+  /// mutable world (e.g. to attach a provider) must copy it. Misses run
+  /// build_internet under the cache's own lock.
   [[nodiscard]] std::shared_ptr<const Internet> get(const InternetConfig& config);
 
   /// Process-wide instance used by benches and seed sweeps.

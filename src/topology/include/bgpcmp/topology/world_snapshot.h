@@ -30,7 +30,6 @@
 
 #include "bgpcmp/netbase/check.h"
 #include "bgpcmp/netbase/ipaddr.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/topology/topology_gen.h"
 
 namespace bgpcmp::topo {
@@ -298,9 +297,7 @@ void save_world_snapshot(const std::string& path, const Internet& net,
 /// Load a world-only snapshot, verifying it matches `config`; kFull (the
 /// default here — world snapshots feed world builds, not a latency-bound
 /// server start) additionally pins the materialized world's fingerprint to
-/// the stored one. Replaces build_internet() for warm starts, hence the
-/// build phase tag.
-BGPCMP_PHASE(build)
+/// the stored one. Replaces build_internet() for warm starts.
 [[nodiscard]] Internet load_world_snapshot(const std::string& path,
                                            const InternetConfig& config,
                                            SnapshotVerify verify = SnapshotVerify::kFull);

@@ -8,7 +8,6 @@
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/cdn/provider.h"
 #include "bgpcmp/latency/delay.h"
-#include "bgpcmp/netbase/thread_annotations.h"
 #include "bgpcmp/traffic/clients.h"
 #include "bgpcmp/wan/backbone.h"
 
@@ -42,7 +41,6 @@ class CloudTiers {
   /// as WAN edge sites; the PoP nearest `dc_city` hosts the data center.
   /// The constructor is the warm step: both tier route tables are computed
   /// here (over the pool), so a constructed CloudTiers serves read-only.
-  BGPCMP_PHASE(warm)
   CloudTiers(const Internet* internet, const ContentProvider* provider,
              const CloudTiersConfig& config = {});
 
@@ -58,14 +56,9 @@ class CloudTiers {
   [[nodiscard]] const bgp::OriginSpec& standard_spec() const { return standard_spec_; }
 
   /// Premium: BGP anycast to the nearest edge announcement, then the WAN.
-  /// Serve-phase; warmed by the constructor (BGPCMP_REQUIRES_WARMED naming a
-  /// class means "construction is the warm step" — constructor discharge).
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(CloudTiers)
+  /// A const read over the tables the constructor computed.
   [[nodiscard]] TierRoute premium(const traffic::ClientPrefix& client) const;
   /// Standard: BGP toward an announcement scoped to the DC PoP's sessions.
-  BGPCMP_PHASE(serve)
-  BGPCMP_REQUIRES_WARMED(CloudTiers)
   [[nodiscard]] TierRoute standard(const traffic::ClientPrefix& client) const;
 
   /// Full model RTT of a tier route (access path + WAN backhaul).

@@ -35,9 +35,7 @@ TEST(Csv, EscapesSpecialCharacters) {
 }
 
 TEST(Csv, SeriesExportMatchesCdf) {
-  stats::WeightedCdf cdf;
-  cdf.add(0.0, 1.0);
-  cdf.add(10.0, 1.0);
+  const stats::WeightedCdf cdf{{{0.0, 1.0}, {10.0, 1.0}}};
   const auto path = tmp_path("series.csv");
   ASSERT_TRUE(write_series_csv(path, "x", {"cdf"}, {&cdf}, 0.0, 10.0, 3));
   const auto text = slurp(path);
@@ -48,8 +46,7 @@ TEST(Csv, SeriesExportMatchesCdf) {
 }
 
 TEST(Csv, CcdfExport) {
-  stats::WeightedCdf cdf;
-  cdf.add(5.0, 1.0);
+  const stats::WeightedCdf cdf{{{5.0, 1.0}}};
   const auto path = tmp_path("ccdf.csv");
   ASSERT_TRUE(write_series_csv(path, "x", {"ccdf"}, {&cdf}, 0.0, 10.0, 2,
                                /*ccdf=*/true));

@@ -36,11 +36,8 @@ TEST(Report, LongKeysStillRender) {
 }
 
 TEST(Report, RenderCdfsSharesGrid) {
-  stats::WeightedCdf a;
-  a.add(0.0);
-  a.add(10.0);
-  stats::WeightedCdf b;
-  b.add(5.0);
+  const stats::WeightedCdf a{{{0.0, 1.0}, {10.0, 1.0}}};
+  const stats::WeightedCdf b{{{5.0, 1.0}}};
   const auto text = render_cdfs("x", {"a", "b"}, {&a, &b}, 0.0, 10.0, 3);
   EXPECT_NE(text.find("a"), std::string::npos);
   EXPECT_NE(text.find("b"), std::string::npos);
@@ -49,8 +46,7 @@ TEST(Report, RenderCdfsSharesGrid) {
 }
 
 TEST(Report, RenderCcdfInverts) {
-  stats::WeightedCdf a;
-  a.add(5.0);
+  const stats::WeightedCdf a{{{5.0, 1.0}}};
   const auto cdf_text = render_cdfs("x", {"v"}, {&a}, 0.0, 10.0, 2, false);
   const auto ccdf_text = render_cdfs("x", {"v"}, {&a}, 0.0, 10.0, 2, true);
   // At x=10 the CDF reads 1.000, the CCDF 0.000.

@@ -84,6 +84,29 @@ TEST(ServingWorld, EgressQueriesDrawOnlyWarmedOrigins) {
   EXPECT_EQ(egress, 30u);  // kinds round-robin over three values
 }
 
+// answer() is const and computes nothing: an egress query whose origin was
+// never warmed trips a check instead of reading an empty slot.
+TEST(ServingWorld, EgressQueryOnUnwarmedOriginTripsCheck) {
+  const auto world = ServingWorld::build(small_config(), small_serving());
+  const auto warmed = world->warmed();
+  const auto& clients = world->scenario().clients;
+  traffic::PrefixId cold = 0;
+  while (cold < clients.size() &&
+         std::find(warmed.begin(), warmed.end(), clients.at(cold).origin_as) != warmed.end()) {
+    ++cold;
+  }
+  ASSERT_LT(cold, clients.size());
+  const ScopedCheckThrows guard;
+  try {
+    (void)world->answer(Query{Query::Kind::Egress, cold, SimTime::hours(1.0)});
+    FAIL() << "an egress query on an unwarmed origin was answered";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string{e.what()}.find("egress queries must target warmed origins"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServingWorld, QueryGenerationIsSeedDeterministic) {
   const auto world = ServingWorld::build(small_config(), small_serving());
   const auto a = world->generate_queries(30, /*seed=*/9);

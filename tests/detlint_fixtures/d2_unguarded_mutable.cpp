@@ -1,15 +1,14 @@
 // detlint fixture: rule D2 (mutable members without a concurrency contract).
 //
-// A mutable member must be atomic, a mutex type, BGPCMP_GUARDED_BY-annotated,
-// or waived with BGPCMP_SINGLE_THREAD (member- or class-level). Deliberately
-// NOT compiled; the macros below stand in for bgpcmp/netbase/
-// thread_annotations.h so the fixture reads like real code.
+// A mutable member must be atomic, a mutex type, or BGPCMP_GUARDED_BY-
+// annotated: anything else is a cache a const read path could write
+// unsynchronized. Deliberately NOT compiled; the macro below stands in for
+// bgpcmp/netbase/thread_annotations.h so the fixture reads like real code.
 #include <atomic>
 #include <mutex>
 #include <vector>
 
 #define BGPCMP_GUARDED_BY(x)
-#define BGPCMP_SINGLE_THREAD
 
 namespace fixture {
 
@@ -23,23 +22,18 @@ class LazyStats {
   mutable std::atomic<long> hits_{0};
   mutable std::mutex mu_;
   mutable std::vector<double> guarded_ BGPCMP_GUARDED_BY(mu_);
-  mutable std::vector<double> waived_ BGPCMP_SINGLE_THREAD;
   mutable long instrumented_ = 0;  // lint:allow(D2): perf counter, torn reads fine
 };
 
-// A class-level waiver covers every mutable member inside the braces.
-class BGPCMP_SINGLE_THREAD WholeClassWaived {
+// A lazily sorted cache behind const queries: the shape WeightedCdf had
+// before it sorted in its constructor.
+class LazySorted {
  public:
-  double value() const;
+  double quantile(double q) const;
 
  private:
-  mutable double cache_ = 0.0;
-  mutable bool fresh_ = false;
-};
-
-class AfterTheWaivedClass {
- private:
-  mutable int stale_ = 0;  // expect: D2
+  mutable std::vector<double> sorted_;  // expect: D2
+  mutable bool fresh_ = false;  // expect: D2
 };
 
 inline int lambda_mutable_ok(int x) {

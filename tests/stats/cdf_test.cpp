@@ -2,20 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/netbase/rng.h"
 #include "bgpcmp/stats/quantile.h"
 
 namespace bgpcmp::stats {
 namespace {
 
-WeightedCdf simple_cdf() {
-  WeightedCdf cdf;
-  cdf.add(1.0, 1.0);
-  cdf.add(2.0, 2.0);
-  cdf.add(3.0, 1.0);
-  return cdf;
+WeightedCdf simple_cdf() { return WeightedCdf{{{1.0, 1.0}, {2.0, 2.0}, {3.0, 1.0}}}; }
+
+/// The message of the CheckError constructing a CDF over `obs` throws.
+std::string rejection(std::vector<Weighted> obs) {
+  const ScopedCheckThrows guard;
+  try {
+    (void)WeightedCdf{std::move(obs)};
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(WeightedCdf, CountsAndWeights) {
@@ -54,14 +63,13 @@ TEST(WeightedCdf, QuantileMatchesFreestandingWeightedQuantile) {
   // Figure outputs are fingerprinted, so "close" is not enough.
   Rng rng{77};
   std::vector<Weighted> obs;
-  WeightedCdf cdf;
   for (int i = 0; i < 2000; ++i) {
     // Duplicates and ties included: i % 97 collapses many equal values.
     const double value = rng.normal(40.0, 12.0) + static_cast<double>(i % 97);
     const double weight = rng.uniform(0.05, 3.0);
     obs.push_back(Weighted{value, weight});
-    cdf.add(value, weight);
   }
+  const WeightedCdf cdf{obs};
   for (double q = 0.0; q <= 1.0; q += 0.001) {
     EXPECT_EQ(cdf.quantile(q), weighted_quantile(obs, q)) << "q=" << q;
   }
@@ -77,8 +85,7 @@ TEST(WeightedCdf, QuantileMatchesFreestandingOnTinyAndSkewedInputs) {
       {{-3.0, 0.5}, {0.0, 0.0}, {7.0, 0.5}},  // zero-weight observation
   };
   for (const auto& obs : cases) {
-    WeightedCdf cdf;
-    for (const Weighted& o : obs) cdf.add(o.value, o.weight);
+    const WeightedCdf cdf{obs};
     for (const double q : {0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0}) {
       EXPECT_EQ(cdf.quantile(q), weighted_quantile(obs, q))
           << "n=" << obs.size() << " q=" << q;
@@ -98,8 +105,9 @@ TEST(WeightedCdf, SeriesHasRequestedShape) {
 
 TEST(WeightedCdf, SeriesIsMonotone) {
   Rng rng{5};
-  WeightedCdf cdf;
-  for (int i = 0; i < 500; ++i) cdf.add(rng.normal(0, 5), rng.uniform(0.1, 2.0));
+  std::vector<Weighted> obs;
+  for (int i = 0; i < 500; ++i) obs.push_back({rng.normal(0, 5), rng.uniform(0.1, 2.0)});
+  const WeightedCdf cdf{std::move(obs)};
   const auto series = cdf.cdf_series(-20, 20, 41);
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_GE(series[i].y, series[i - 1].y);
@@ -115,22 +123,28 @@ TEST(WeightedCdf, CcdfSeriesMirrorsCdfSeries) {
   }
 }
 
-TEST(WeightedCdf, InterleavedAddAndQuery) {
-  WeightedCdf cdf;
-  cdf.add(5.0);
-  EXPECT_DOUBLE_EQ(cdf.fraction_at_most(5.0), 1.0);
-  cdf.add(1.0);  // must re-sort lazily
-  EXPECT_DOUBLE_EQ(cdf.fraction_at_most(1.0), 0.5);
-  cdf.add(3.0);
-  EXPECT_NEAR(cdf.fraction_at_most(3.0), 2.0 / 3.0, 1e-12);
+TEST(WeightedCdf, DuplicateValuesAggregateWeight) {
+  const WeightedCdf cdf{{{2.0, 1.0}, {2.0, 3.0}, {5.0, 4.0}}};
+  EXPECT_DOUBLE_EQ(cdf.fraction_at_most(2.0), 0.5);
 }
 
-TEST(WeightedCdf, DuplicateValuesAggregateWeight) {
-  WeightedCdf cdf;
-  cdf.add(2.0, 1.0);
-  cdf.add(2.0, 3.0);
-  cdf.add(5.0, 4.0);
-  EXPECT_DOUBLE_EQ(cdf.fraction_at_most(2.0), 0.5);
+// std::sort's < is not a strict weak order over NaN, so a NaN value would
+// make the constructor's sort undefined behaviour: it is rejected first.
+TEST(WeightedCdf, RejectsNaNValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string what = rejection({{1.0, 1.0}, {nan, 1.0}});
+  EXPECT_NE(what.find("CDF values must not be NaN"), std::string::npos) << what;
+}
+
+TEST(WeightedCdf, RejectsNegativeWeight) {
+  const std::string what = rejection({{1.0, 1.0}, {2.0, -0.5}});
+  EXPECT_NE(what.find("CDF weights must be non-negative"), std::string::npos) << what;
+}
+
+TEST(WeightedCdf, RejectsNaNWeight) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string what = rejection({{1.0, nan}, {2.0, 1.0}});
+  EXPECT_NE(what.find("CDF weights must not be NaN"), std::string::npos) << what;
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/path_model.h"
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/netbase/parse.h"
 #include "bgpcmp/stats/table.h"
 #include "experiments.h"
@@ -323,7 +324,16 @@ int cmd_serve(const Args& args) {
   const auto cfg = preset_config(args);
   std::unique_ptr<core::ServingWorld> world;
   if (const auto snap = args.flags.find("snapshot"); snap != args.flags.end()) {
-    world = core::ServingWorld::load(snap->second, cfg);
+    // A missing, truncated or hostile file fails a BGPCMP_CHECK in the
+    // loader: name the file and exit 1 instead of aborting.
+    try {
+      const ScopedCheckThrows checks_throw;
+      world = core::ServingWorld::load(snap->second, cfg);
+    } catch (const CheckError& e) {
+      std::fprintf(stderr, "bgpcmp: cannot load snapshot %s: %s\n", snap->second.c_str(),
+                   e.what());
+      return 1;
+    }
   } else {
     world = core::ServingWorld::build(cfg, serving_config(args));
   }
@@ -434,7 +444,9 @@ int cmd_shard(const Args& args, int argc, char** argv) {
 
 /// `bgpcmp experiment <name> [--days D]`: one paper figure or §3 experiment,
 /// printed to stdout. --days, the only flag, resizes the measurement campaign
-/// of an experiment that has one.
+/// of an experiment that has one: at least one 15-minute window (below it a
+/// campaign has no observations) and at most a year (above it the window
+/// grid outgrows memory).
 int cmd_experiment(const Args& args) {
   const experiments::Experiment* exp = nullptr;
   if (args.positional.size() == 1) {
@@ -461,6 +473,11 @@ int cmd_experiment(const Args& args) {
       return 1;
     }
     days = parse_double("--days", value, /*non_negative=*/true);
+    if (*days < 1.0 / 96.0 || *days > 365.0) {
+      std::fprintf(stderr, "--days needs a number in [1/96, 365] (one 15-minute "
+                   "window to a year), got '%s'\n", value.c_str());
+      return 1;
+    }
   }
   exp->run(days);
   return 0;

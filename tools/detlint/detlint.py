@@ -32,9 +32,9 @@ Semantic rules, over src tools bench.
   D1  retired: hash containers are LookupMap/LookupSet (R7), so the
       compiler rejects the iteration this pass looked for.
   D2  mutable class members in src/ that are none of: std::atomic, a mutex
-      type, BGPCMP_GUARDED_BY-annotated, or BGPCMP_SINGLE_THREAD-marked
-      (member- or class-level). Unsynchronized lazy state must either be
-      locked or carry an explicit single-thread waiver.
+      type, or BGPCMP_GUARDED_BY-annotated. Shared state is complete when
+      constructed and read through const methods; D2 is what stops a const
+      read path from writing unsynchronized state (a lazy cache).
   D3  retired: Rng is move-only, so the compiler rejects the stream copies
       this pass looked for (the rng_copy_* ctests pin that).
   D4  wall-clock / raw-randomness reach-through: a model translation unit
@@ -42,19 +42,9 @@ Semantic rules, over src tools bench.
       <ctime>, <time.h>, <sys/time.h> or <random>. The Rng wrapper
       (netbase/rng.*) is the sanctioned home for <random>; everything else
       needs a lint:allow(D4) on the include line.
-  D5  phase-contract violations. Functions declare their phase with
-      BGPCMP_PHASE(build|warm|serve) and serve-phase entry points name the
-      warm step that must dominate them with BGPCMP_REQUIRES_WARMED(fn).
-      detlint builds an over-approximate call graph (symbol table over every
-      scanned file plus its include closure) and reports (a) a serve call
-      reachable from a parallel_for/parallel_map region with no dominating
-      call to the named warm function earlier on the chain and no
-      constructor that performs it, and (b) a serve-phase function that
-      transitively reaches warm/build-phase work. Methods of
-      BGPCMP_SINGLE_THREAD-waived classes (WeightedCdf's sort cache) are
-      accepted without a phase annotation: their safety story is the
-      OwningThread runtime pin, not the phase discipline.
-      Reported with the offending call chain, like D4 does for includes.
+  D5  retired: every shared table is complete when its constructor
+      returns, and its reads are const, so D2 rejects the lazy caches this
+      phase-contract pass looked for.
   D6  lock-order cycles. Mutex declarations (optionally ranked with
       BGPCMP_ACQUIRES_ORDER(n)) plus MutexLock/.lock() sites feed a global
       acquisition graph: an edge A -> B means B was acquired while A was
@@ -95,13 +85,10 @@ Semantic rules, over src tools bench.
       scope globals declared in the function's own file or a header it
       includes, unless a parameter or local of that name shadows them
       (Mutex declarations and BGPCMP_GUARDED_BY state are exempt - their
-      safety story is the lock discipline D6 checks), and
-      BGPCMP_REQUIRES_WARMED callees not dominated by a per-chunk warm
-      inside the chunk body itself (the D5 domination machinery, with the
-      whole body as the region).
+      safety story is the lock discipline D6 checks).
 
 A line opts out with a trailing comment: // lint:allow(D2), comma-separated
-for several rules. D5/D7 findings anchor to the parallel-region line; D6
+for several rules. D7 findings anchor to the parallel-region line; D6
 findings anchor to the second acquisition; a D8 missing-member finding
 anchors to the member's declaration line, an order finding to its fields().
 
@@ -130,9 +117,8 @@ RULES = OrderedDict(
         ("R4", "wall-clock read in model code; use SimTime"),
         ("R6", "bare assert() or <cassert> in src/; use BGPCMP_CHECK* (bgpcmp/netbase/check.h)"),
         ("R7", "raw std::unordered_* container in src/; use LookupMap/LookupSet (bgpcmp/netbase/lookup.h)"),
-        ("D2", "mutable member without atomic/lock/BGPCMP_SINGLE_THREAD contract"),
+        ("D2", "mutable member that is neither atomic nor lock-guarded"),
         ("D4", "wall-clock/raw-randomness header reaches model code"),
-        ("D5", "serve-phase call without a dominating warm (phase contract)"),
         ("D6", "lock-order cycle or BGPCMP_ACQUIRES_ORDER inversion"),
         ("D7", "order-sensitive reduction inside a parallel region"),
         ("D8", "snapshot fields() list out of declaration order, or layout drifted from the schema lock"),
@@ -168,10 +154,8 @@ ALLOW_RE = re.compile(r"lint:allow\(([A-Za-z0-9_, ]+)\)")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([A-Za-z0-9, ]+)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?:"([^"]+)"|<([^>]+)>)')
 
-# -- structural-parse regexes (D5-D7) ---------------------------------------
+# -- structural-parse regexes (D6, D7, D9, D10) ----------------------------
 
-PHASE_RE = re.compile(r"\bBGPCMP_PHASE\s*\(\s*(\w+)\s*\)")
-REQWARM_RE = re.compile(r"\bBGPCMP_REQUIRES_WARMED\s*\(\s*([\w:,\s]*?)\s*\)")
 PURE_CHUNK_RE = re.compile(r"\bBGPCMP_PURE_CHUNK\b")
 ORDER_RE = re.compile(r"\bBGPCMP_ACQUIRES_ORDER\s*\(\s*(\d+)\s*\)")
 MUTEX_DECL_RE = re.compile(r"\bMutex\b\s+([A-Za-z_]\w*)")
@@ -384,26 +368,23 @@ def clean_source(text):
     return "".join(out), allow
 
 
-# -- structural model (D5-D7) ------------------------------------------------
+# -- structural model (D6, D7, D9, D10) --------------------------------------
 
 
 class Func:
     """A function definition or declaration found by the structural parser."""
 
     __slots__ = (
-        "sf", "cls", "bare", "line", "phase", "requires", "body_span",
-        "pure_chunk", "param_types", "rng_ref_params",
+        "sf", "cls", "bare", "line", "body_span", "pure_chunk", "param_types",
+        "rng_ref_params",
     )
 
-    def __init__(self, sf, cls, bare, line, phase, requires, body_span,
-                 pure_chunk=False, param_types=None,
-                 rng_ref_params=()):
+    def __init__(self, sf, cls, bare, line, body_span, pure_chunk=False,
+                 param_types=None, rng_ref_params=()):
         self.sf = sf
         self.cls = cls
         self.bare = bare
         self.line = line
-        self.phase = phase
-        self.requires = requires
         self.body_span = body_span  # (start, end) offsets in pp_clean, or None
         self.pure_chunk = pure_chunk  # BGPCMP_PURE_CHUNK (D9/D10)
         self.param_types = param_types or {}  # name -> declared type text
@@ -596,16 +577,15 @@ def _function_trailer_ok(s2, ppos):
 def _classify_preamble(pre):
     """Classify the text before a '{' at declaration scope.
 
-    Returns (kind, payload, waived): kind is one of namespace/class/enum/
-    function/init/block; payload is the class name or the function's
-    qualified name; waived marks a BGPCMP_SINGLE_THREAD class."""
+    Returns (kind, payload): kind is one of namespace/class/enum/function/
+    init/block; payload is the class name or the function's qualified name."""
     s = pre.strip()
     if not s:
-        return "block", None, False
+        return "block", None
     if re.search(r"\bnamespace\b", _strip_angles(s)):
-        return "namespace", None, False
+        return "namespace", None
     if re.search(r"\benum\b", s):
-        return "enum", None, False
+        return "enum", None
     cm = re.search(r"\b(class|struct|union)\b", s)
     if cm:
         tail = s[cm.end() :]
@@ -617,14 +597,14 @@ def _classify_preamble(pre):
             if name == "final":
                 nm2 = re.search(r"([A-Za-z_]\w*)\s+final\s*$", head.strip())
                 name = nm2.group(1) if nm2 else name
-            return "class", name, "BGPCMP_SINGLE_THREAD" in tail
+            return "class", name
     qual, bare, ctx = _decl_name(s)
     if qual is None:
-        return "init", None, False
+        return "init", None
     s2, ppos = ctx
     if not _function_trailer_ok(s2, ppos):
-        return "init", None, False
-    return "function", qual, False
+        return "init", None
+    return "function", qual
 
 
 class SourceFile:
@@ -692,14 +672,14 @@ class SourceFile:
             self._rng_names = {m.group(1) for m in re.finditer(r"\bRng\s+(\w+)\s*[^(\w]", self.clean)}
         return self._rng_names
 
-    # -- structural parse (D5-D7) ------------------------------------------
+    # -- structural parse (D6, D7, D9, D10) ---------------------------------
 
     def structure(self):
-        """(funcs, mutex_decls, single_thread_classes, globals) for this file."""
+        """(funcs, mutex_decls, globals) for this file."""
         if self._structure is not None:
             return self._structure
         text = self.pp_clean
-        funcs, mutexes, st_classes, gvars = [], [], set(), []
+        funcs, mutexes, gvars = [], [], []
         stack = []  # (kind, payload)
         last = 0
         func_depth = 0
@@ -708,9 +688,9 @@ class SourceFile:
             if c == "{":
                 pre = text[last:i]
                 if func_depth or init_depth:
-                    kind, payload, waived = "block", None, False
+                    kind, payload = "block", None
                 else:
-                    kind, payload, waived = _classify_preamble(pre)
+                    kind, payload = _classify_preamble(pre)
                 if kind == "init":
                     stack.append(("init", None))
                     init_depth += 1
@@ -719,10 +699,6 @@ class SourceFile:
                     fn = self._make_func(pre, payload, stack, i)
                     stack.append(("function", fn))
                     func_depth += 1
-                elif kind == "class":
-                    if waived and payload:
-                        st_classes.add(payload)
-                    stack.append(("class", payload))
                 else:
                     stack.append((kind, payload))
                 last = i + 1
@@ -743,7 +719,7 @@ class SourceFile:
                 if func_depth == 0 and init_depth == 0:
                     self._decl_segment(text[last:i], last, stack, funcs, mutexes, gvars)
                     last = i + 1
-        self._structure = (funcs, mutexes, st_classes, gvars)
+        self._structure = (funcs, mutexes, gvars)
         return self._structure
 
     def _enclosing_class(self, stack):
@@ -752,26 +728,12 @@ class SourceFile:
                 return payload
         return None
 
-    def _annotations(self, s):
-        phase = None
-        pm = PHASE_RE.search(s)
-        if pm:
-            phase = pm.group(1)
-        requires = []
-        for rm in REQWARM_RE.finditer(s):
-            for part in rm.group(1).split(","):
-                part = part.strip().split("::")[-1]
-                if part:
-                    requires.append(part)
-        pure = bool(PURE_CHUNK_RE.search(s))
-        return phase, tuple(requires), pure
-
     @staticmethod
     def _parse_params(head):
         """(param_types, rng_ref_params) from a declaration head's parameter
         list. param_types maps parameter name -> declared type text."""
         s = _strip_template_header(head)
-        # Annotation macros (BGPCMP_REQUIRES_WARMED(...) etc.) carry their own
+        # Annotation macros (BGPCMP_ACQUIRES_ORDER(...) etc.) carry their own
         # parens; strip them or the macro's argument list reads as the
         # parameter list.
         s2 = ATTR_RE.sub(" ", MACRO_INV_RE.sub(" ", s))
@@ -803,12 +765,11 @@ class SourceFile:
         parts = qual.split("::")
         bare = parts[-1]
         cls = parts[-2] if len(parts) > 1 else self._enclosing_class(stack)
-        phase, requires, pure = self._annotations(pre)
         param_types, rng_refs = self._parse_params(pre)
         line = self.line_of_offset(brace_off)
-        return Func(self, cls, bare, line, phase, requires, (brace_off + 1, None),
-                    pure_chunk=pure, param_types=param_types,
-                    rng_ref_params=rng_refs)
+        return Func(self, cls, bare, line, (brace_off + 1, None),
+                    pure_chunk=bool(PURE_CHUNK_RE.search(pre)),
+                    param_types=param_types, rng_ref_params=rng_refs)
 
     def _decl_segment(self, seg, seg_off, stack, funcs, mutexes, globals_out):
         s = seg.strip()
@@ -833,11 +794,10 @@ class SourceFile:
         parts = qual.split("::")
         if len(parts) > 1:
             cls = parts[-2]
-        phase, requires, pure = self._annotations(s)
         param_types, rng_refs = self._parse_params(s)
-        funcs.append(Func(self, cls, parts[-1], line, phase, requires, None,
-                          pure_chunk=pure, param_types=param_types,
-                          rng_ref_params=rng_refs))
+        funcs.append(Func(self, cls, parts[-1], line, None,
+                          pure_chunk=bool(PURE_CHUNK_RE.search(s)),
+                          param_types=param_types, rng_ref_params=rng_refs))
 
     def _global_var(self, s, line, globals_out):
         """Record a namespace-scope variable declaration (D10 facts)."""
@@ -860,7 +820,7 @@ class SourceFile:
 
     def class_vars(self, class_names_re, known_classes):
         """Map class name -> variable names declared with that type in this
-        file (the receiver-typing registry for D5/D6 call resolution)."""
+        file (the receiver-typing registry for call resolution)."""
         if self._class_vars is not None:
             return self._class_vars
         out = {}
@@ -889,10 +849,7 @@ class Analyzer:
         self.symbols = {}
         self.defs = []
         self.mutex_decls = []
-        self.st_classes = set()
         self.global_vars = []
-        self.relevant_warms = set()
-        self.discharged = set()
         self._class_names_re = None
         self._known_classes = frozenset()
         self._struct_index = None
@@ -965,37 +922,30 @@ class Analyzer:
         self._closure_memo[sf.rel] = seen
         return seen
 
-    # -- symbol table and call graph (D5-D7) --------------------------------
+    # -- symbol table and call graph (D6, D7, D9, D10) ----------------------
 
     def build_symbols(self):
         """Structural pass over every loaded file: merge function decls and
-        defs by (class, name), collect mutex declarations and waived classes,
-        and precompute the constructor-discharged warm set."""
+        defs by (class, name) and collect mutex and global declarations."""
         all_funcs = []
         for rel in sorted(self.files):
-            funcs, mutexes, st, gvars = self.files[rel].structure()
+            funcs, mutexes, gvars = self.files[rel].structure()
             all_funcs.extend(funcs)
             self.mutex_decls.extend(mutexes)
-            self.st_classes |= st
             self.global_vars.extend(gvars)
         groups = {}
         for f in all_funcs:
             groups.setdefault((f.cls, f.bare), []).append(f)
         for group in groups.values():
-            phase = next((f.phase for f in group if f.phase), None)
-            requires = tuple(sorted({r for f in group for r in f.requires}))
             pure = any(f.pure_chunk for f in group)
             rng_refs = tuple(sorted({p for f in group for p in f.rng_ref_params}))
             for f in group:
-                f.phase = phase
-                f.requires = requires
                 f.pure_chunk = pure
                 f.rng_ref_params = rng_refs
         self.symbols = {}
         for f in all_funcs:
             self.symbols.setdefault(f.bare, []).append(f)
         self.defs = [f for f in all_funcs if f.body_span]
-        self.relevant_warms = {r for f in all_funcs for r in f.requires}
         classes = sorted({f.cls for f in all_funcs if f.cls})
         self._known_classes = frozenset(classes)
         if classes:
@@ -1003,19 +953,6 @@ class Analyzer:
             self._class_names_re = re.compile(
                 r"\b(" + alt + r")\b\s*[&*]{0,2}\s*([A-Za-z_]\w*)\s*[;,=({\[)]"
             )
-        # Constructor discharge: a warm function called from a constructor of
-        # its class runs before any consumer can hold the object; and a
-        # requirement naming the class itself means "the constructor warms".
-        for fn in self.defs:
-            if fn.cls and fn.bare == fn.cls:
-                for call in self.func_calls(fn):
-                    for target in self.resolve_call(call, fn):
-                        if target.phase == "warm":
-                            self.discharged.add(target.bare)
-        for name in self.relevant_warms:
-            if any(f.cls == name and f.bare == name for funcs in self.symbols.values() for f in funcs):
-                self.discharged.add(name)
-
     def ctx_vars(self, sf):
         """Receiver-typing registry for a file: class -> vars, unioned over
         its include closure."""
@@ -1118,30 +1055,10 @@ class Analyzer:
         "once_flag",
         "condition_variable",
         "BGPCMP_GUARDED_BY",
-        "BGPCMP_SINGLE_THREAD",
-        "OwningThread",
     )
-
-    def _single_thread_class_spans(self, text):
-        spans = []
-        for m in re.finditer(r"\b(?:class|struct)\s+BGPCMP_SINGLE_THREAD\s+\w+", text):
-            i = text.find("{", m.end())
-            if i < 0:
-                continue
-            depth = 0
-            for j in range(i, len(text)):
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        spans.append((i, j))
-                        break
-        return spans
 
     def check_d2(self, sf):
         text = sf.clean
-        class_spans = self._single_thread_class_spans(text)
         for m in re.finditer(r"\bmutable\b", text):
             prev = text[: m.start()].rstrip()
             # Lambdas: `[..](..) mutable` and the parenless `[..] mutable`
@@ -1152,8 +1069,6 @@ class Analyzer:
             decl = text[m.end() : end if end > 0 else m.end() + 200]
             if any(tok in decl for tok in self.EXEMPT_MUTABLE):
                 continue
-            if any(a <= m.start() <= b for a, b in class_spans):
-                continue
             name = re.findall(r"(\w+)\s*(?:=[^;]*|\{[^;]*\})?\s*$", decl.strip())
             self.report(
                 sf,
@@ -1161,8 +1076,7 @@ class Analyzer:
                 "D2",
                 "mutable member "
                 + (f"'{name[0]}' " if name else "")
-                + "is neither atomic, lock-guarded (BGPCMP_GUARDED_BY), nor "
-                + "BGPCMP_SINGLE_THREAD-marked",
+                + "is neither atomic nor lock-guarded (BGPCMP_GUARDED_BY)",
             )
 
     # -- D4: banned headers through the include graph ----------------------
@@ -1208,117 +1122,6 @@ class Analyzer:
                                 chain + [rel],
                             )
                         )
-
-    # -- D5: phase contracts through the call graph ------------------------
-
-    def check_d5(self, sf):
-        """A serve-phase function (BGPCMP_REQUIRES_WARMED) reachable from a
-        parallel region must be dominated by a call to its warm function:
-        textually earlier in some function along the chain, or performed by
-        a constructor of the warm function's class."""
-        funcs, _, _, _ = sf.structure()
-        for fn in funcs:
-            if not fn.body_span:
-                continue
-            regions = self.func_regions(fn)
-            if not regions:
-                continue
-            calls = self.func_calls(fn)
-            for start, end, line in regions:
-                # A function's own BGPCMP_REQUIRES_WARMED contract is
-                # discharged at its call sites, so its bases already hold on
-                # entry (the RouteCache::reconverge wave pattern: warm-phase,
-                # requires warm, fans the delta step out per engine).
-                warms = set(fn.requires)
-                for call in calls:
-                    if call.off >= start:
-                        break
-                    for target in self.resolve_call(call, fn):
-                        if target.phase == "warm":
-                            warms.add(target.bare)
-                            # Warm-delta contract: a warm-phase call that
-                            # itself requires warmed state (e.g. reconverge)
-                            # mutates that state in place and leaves it
-                            # warmed, so it re-establishes its bases too.
-                            warms.update(target.requires)
-                chain0 = f"{fn.display} ({sf.rel}:{line})"
-                seen = set()
-                for call in calls:
-                    if not start < call.off < end:
-                        continue
-                    for target in self.resolve_call(call, fn):
-                        self._chase(target, set(warms), [chain0], sf, line, seen)
-
-    def _chase(self, fn, warms, chain, origin_sf, origin_line, seen, rule="D5"):
-        key = (id(fn), frozenset(warms & self.relevant_warms))
-        if key in seen:
-            return
-        seen.add(key)
-        if fn.cls in self.st_classes and not fn.phase and not fn.requires:
-            return  # single-thread waiver: OwningThread pins it at runtime
-        if fn.requires:
-            missing = [w for w in fn.requires if w not in warms and w not in self.discharged]
-            if missing:
-                full = chain + [fn.display]
-                scope = "parallel region" if rule == "D5" else "chunk body"
-                self.report(
-                    origin_sf,
-                    origin_line,
-                    rule,
-                    f"'{fn.display}' is serve-phase and requires "
-                    f"{', '.join(f'{w}()' for w in missing)} to dominate the "
-                    f"{scope}; chain: " + " -> ".join(full),
-                    chain=full,
-                )
-            return
-        if fn.phase in ("warm", "build", "serve"):
-            return
-        if not fn.body_span:
-            return
-        running = set(warms)
-        for call in self.func_calls(fn):
-            resolved = self.resolve_call(call, fn)
-            hop = f"{fn.display} ({fn.sf.rel}:{fn.sf.line_of_offset(call.off)})"
-            for target in resolved:
-                if target.phase == "warm":
-                    running.add(target.bare)
-                    # Warm-delta: see check_d5 — a warm call with requires
-                    # re-establishes those bases for everything after it.
-                    running.update(target.requires)
-                else:
-                    self._chase(target, set(running), chain + [hop], origin_sf, origin_line, seen, rule)
-
-    def check_d5_regression(self):
-        """A serve-phase function must stay read-only: reaching warm/build
-        work through any chain of unannotated calls is a phase regression."""
-        for fn in self.defs:
-            if fn.phase == "serve":
-                self._regress(fn, [fn.display], set())
-
-    def _regress(self, fn, chain, seen):
-        for call in self.func_calls(fn):
-            for target in self.resolve_call(call, fn):
-                if target.phase in ("warm", "build"):
-                    line = fn.sf.line_of_offset(call.off)
-                    full = chain + [target.display]
-                    self.report(
-                        fn.sf,
-                        line,
-                        "D5",
-                        f"serve-phase '{chain[0]}' reaches {target.phase}-phase "
-                        f"'{target.display}'; chain: " + " -> ".join(full),
-                        chain=full,
-                    )
-                elif (
-                    not target.phase
-                    and not target.requires
-                    and target.body_span
-                    and id(target) not in seen
-                    and target.cls not in self.st_classes
-                ):
-                    seen.add(id(target))
-                    hop = f"{target.display} ({target.sf.rel})"
-                    self._regress(target, chain + [hop], seen)
 
     # -- D6: lock-order cycles and rank inversions --------------------------
 
@@ -1580,7 +1383,7 @@ class Analyzer:
     D7_OPS_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(\+=|-=|\*=|/=)(?!=)")
 
     def check_d7(self, sf):
-        funcs, _, _, _ = sf.structure()
+        funcs, _, _ = sf.structure()
         text = sf.pp_clean
         for fn in funcs:
             if not fn.body_span:
@@ -2016,7 +1819,7 @@ class Analyzer:
                 )
 
     def check_d9(self, sf):
-        funcs, _, _, _ = sf.structure()
+        funcs, _, _ = sf.structure()
         rngs = self.context_rngs(sf)
         text = sf.pp_clean
         for fn in funcs:
@@ -2102,8 +1905,7 @@ class Analyzer:
 
     def check_d10(self):
         """Chase every call reachable from a BGPCMP_PURE_CHUNK function for
-        shared mutable state, and re-run the D5 domination walk with the
-        whole chunk body as the region."""
+        shared mutable state."""
         mutable_globals = [g for g in self.global_vars if not g.is_const and not g.guarded]
         for fn in self.defs:
             if not fn.pure_chunk:
@@ -2120,16 +1922,6 @@ class Analyzer:
                         if target.body_span and id(target) not in seen:
                             seen.add(id(target))
                             stack.append((target, chain + [hop]))
-            warms = set(fn.requires)
-            chase_seen = set()
-            for call in self.func_calls(fn):
-                for target in self.resolve_call(call, fn):
-                    if target.phase == "warm":
-                        warms.add(target.bare)
-                        warms.update(target.requires)
-                    else:
-                        self._chase(target, set(warms), [chain0], fn.sf, fn.line,
-                                    chase_seen, rule="D10")
 
     def _d10_body(self, root, fn, chain, mutable_globals):
         a, _ = fn.body_span
@@ -2292,10 +2084,8 @@ def run_scan(root, paths, include_dirs, lint_paths=(), lock_path=None, checks=Tr
         if model and norm.endswith(".cpp"):
             az.check_d4(sf)
         if model:
-            az.check_d5(sf)
             az.check_d7(sf)
             az.check_d9(sf)
-    az.check_d5_regression()
     az.check_d6()
     az.check_d10()
     az.check_d8(lock_path or default_schema_lock_path(root))
@@ -2326,10 +2116,8 @@ def run_self_test(fixture_dir):
         az.check_d2(sf)
         if rel.endswith(".cpp"):
             az.check_d4(sf)
-        az.check_d5(sf)
         az.check_d7(sf)
         az.check_d9(sf)
-    az.check_d5_regression()
     az.check_d6()
     az.check_d10()
     az.check_d8(os.path.join(root, "d8_schema.lock"))
